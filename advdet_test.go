@@ -1,6 +1,9 @@
 package advdet
 
 import (
+	"bytes"
+	"fmt"
+	"strings"
 	"testing"
 
 	"advdet/internal/synth"
@@ -249,6 +252,27 @@ func TestMetricsSnapshotEndToEnd(t *testing.T) {
 	// The reconfiguration is simulated hardware: ~20 ms of sim time.
 	if rc, _ := snap.StageByName("reconfig"); rc.SimPSTotal < 19_000_000_000 || rc.SimPSTotal > 22_000_000_000 {
 		t.Fatalf("reconfig stage %d ps outside ~20 ms", rc.SimPSTotal)
+	}
+	// Every HOG vehicle scan reports each of its ScanTimings stages,
+	// the haar prefilter included, and both exports carry them.
+	resize, _ := snap.StageByName("scan-resize")
+	pre, ok := snap.StageByName("scan-prefilter")
+	if !ok || resize.Count == 0 || pre.Count != resize.Count {
+		t.Fatalf("scan-prefilter count %d (present %v), want one per HOG scan (%d)", pre.Count, ok, resize.Count)
+	}
+	var js bytes.Buffer
+	if err := snap.WriteJSON(&js); err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(js.String(), `"scan-prefilter"`) {
+		t.Fatalf("JSON export missing the scan-prefilter stage:\n%s", js.String())
+	}
+	var prom bytes.Buffer
+	if err := sys.Metrics().WriteProm(&prom); err != nil {
+		t.Fatal(err)
+	}
+	if want := fmt.Sprintf(`advdet_stage_invocations_total{stage="scan-prefilter"} %d`, pre.Count); !strings.Contains(prom.String(), want) {
+		t.Fatalf("Prometheus export missing %q:\n%s", want, prom.String())
 	}
 }
 

@@ -617,45 +617,9 @@ func BenchmarkScanBlockResponse(b *testing.B) {
 	}
 }
 
-// BenchmarkScanEarlyReject isolates this PR's tentpole: the same
-// 640x360 day scan with the partial-margin early exit on ("early",
-// the production default), with the exit disabled ("full", the full
-// precomputed response plane — PR5's path), through the fixed-point
-// datapath ("quantized"), and forced onto the per-window descriptor
-// path ("descriptor"). Serial so the comparison is pure arithmetic,
-// not scheduling. early/full/descriptor produce identical detections;
-// quantized matches boxes with scores inside the analytic error bound.
-func BenchmarkScanEarlyReject(b *testing.B) {
-	day, _, _ := benchDetectors(b)
-	sc := synth.RenderScene(synth.NewRNG(9), synth.DefaultSceneConfig(640, 360, synth.Day))
-	gray := img.RGBToGray(sc.Frame)
-	ctx := context.Background()
-	for _, bc := range []struct {
-		name string
-		set  func(d *pipeline.DayDuskDetector)
-	}{
-		{"early", func(d *pipeline.DayDuskDetector) {}},
-		{"full", func(d *pipeline.DayDuskDetector) { d.NoEarlyReject = true }},
-		{"quantized", func(d *pipeline.DayDuskDetector) { d.Quantized = true }},
-		{"descriptor", func(d *pipeline.DayDuskDetector) { d.NoBlockResponse = true }},
-	} {
-		b.Run(bc.name, func(b *testing.B) {
-			det := *day
-			bc.set(&det)
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if _, err := det.DetectCtx(ctx, gray, 1); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-}
-
 // BenchmarkScanTemporalCache isolates this PR's tentpole: the same
 // static-camera 640x360 day sequence scanned cold (no cache — every
-// frame pays the full feature/block/response stack) and warm (temporal
+// frame pays the full feature/block stack) and warm (temporal
 // cache attached — consecutive frames recompute only the tiles the
 // moving vehicles dirtied). Serial so the comparison is pure
 // arithmetic. Detections are byte-identical between the two lanes;

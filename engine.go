@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"io"
 	"sync"
-	"time"
 
 	"advdet/internal/adaptive"
 	"advdet/internal/fleet"
@@ -52,11 +51,10 @@ var (
 // who want none of this machinery should use NewSystem, which spawns
 // no goroutines.
 type Engine struct {
-	adEng         *adaptive.Engine
-	disp          *fleet.Dispatcher
-	rollup        *metrics.Fleet
-	scanQuantized bool
-	scanTemporal  bool
+	adEng        *adaptive.Engine
+	disp         *fleet.Dispatcher
+	rollup       *metrics.Fleet
+	scanTemporal bool
 
 	mu     sync.Mutex
 	nextID int
@@ -67,10 +65,9 @@ type Engine struct {
 
 // engineConfig collects the EngineOption knobs.
 type engineConfig struct {
-	parallelism   int
-	fleet         fleet.Config
-	scanQuantized bool
-	scanTemporal  bool
+	parallelism  int
+	fleet        fleet.Config
+	scanTemporal bool
 }
 
 // EngineOption configures an Engine at construction time.
@@ -78,7 +75,7 @@ type EngineOption func(*engineConfig)
 
 // WithEngineParallelism sets the engine's total scan-lane budget — the
 // pool shared by every stream's detection scans (n <= 0 selects
-// runtime.NumCPU()). Per-stream WithStreamParallelism then caps how
+// runtime.GOMAXPROCS(0)). Per-stream WithStreamParallelism then caps how
 // many shared lanes one frame may borrow.
 func WithEngineParallelism(n int) EngineOption {
 	return func(c *engineConfig) { c.parallelism = n }
@@ -86,24 +83,17 @@ func WithEngineParallelism(n int) EngineOption {
 
 // WithFleetWorkers sets the dispatcher's executor pool size: how many
 // frames (across all streams) execute concurrently. n <= 0 selects
-// runtime.NumCPU().
+// runtime.GOMAXPROCS(0).
 func WithFleetWorkers(n int) EngineOption {
 	return func(c *engineConfig) { c.fleet.Workers = n }
 }
 
 // WithQueueDepth bounds the admission queue; a full queue makes
 // Stream.Process fail fast with ErrOverloaded instead of queueing
-// unboundedly. n <= 0 selects twice the worker count.
+// unboundedly. At most n + the worker count frames are admitted and
+// unfinished at once. n <= 0 selects twice the worker count.
 func WithQueueDepth(n int) EngineOption {
 	return func(c *engineConfig) { c.fleet.QueueDepth = n }
-}
-
-// WithEngineQuantizedScan makes fixed-point HOG scan scoring the
-// default for every stream opened on the engine (see
-// WithQuantizedScan). Individual streams can still differ by passing
-// WithStreamSystemOptions with ScanQuantized unset.
-func WithEngineQuantizedScan() EngineOption {
-	return func(c *engineConfig) { c.scanQuantized = true }
 }
 
 // WithEngineTemporalCache makes the temporal scan cache the default
@@ -116,17 +106,6 @@ func WithEngineTemporalCache() EngineOption {
 	return func(c *engineConfig) { c.scanTemporal = true }
 }
 
-// WithBatchPolicy shapes the size-or-deadline batcher: a batch is
-// flushed to the executors when it holds maxBatch frames or when its
-// oldest frame has waited maxWait, whichever comes first. Zero values
-// keep the defaults (4 frames, 2ms).
-func WithBatchPolicy(maxBatch int, maxWait time.Duration) EngineOption {
-	return func(c *engineConfig) {
-		c.fleet.MaxBatch = maxBatch
-		c.fleet.MaxWait = maxWait
-	}
-}
-
 // NewEngine builds the shared engine over a trained detector set and
 // starts its dispatcher. The detectors are treated as immutable from
 // here on: every stream scans against the same models, exactly as the
@@ -137,11 +116,10 @@ func NewEngine(dets Detectors, opts ...EngineOption) *Engine {
 		o(&cfg)
 	}
 	return &Engine{
-		adEng:         adaptive.NewEngine(dets, adaptive.EngineConfig{Parallelism: cfg.parallelism}),
-		disp:          fleet.NewDispatcher(cfg.fleet),
-		rollup:        metrics.NewFleet(),
-		scanQuantized: cfg.scanQuantized,
-		scanTemporal:  cfg.scanTemporal,
+		adEng:        adaptive.NewEngine(dets, adaptive.EngineConfig{Parallelism: cfg.parallelism}),
+		disp:         fleet.NewDispatcher(cfg.fleet),
+		rollup:       metrics.NewFleet(),
+		scanTemporal: cfg.scanTemporal,
 	}
 }
 
@@ -211,7 +189,6 @@ func (e *Engine) Close() {
 // concurrently through the engine's dispatcher.
 func (e *Engine) NewStream(opts ...StreamOption) (*Stream, error) {
 	cfg := streamConfig{opt: DefaultSystemOptions()}
-	cfg.opt.ScanQuantized = e.scanQuantized
 	cfg.opt.ScanTemporalCache = e.scanTemporal
 	for _, o := range opts {
 		o(&cfg)

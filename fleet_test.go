@@ -159,68 +159,83 @@ func TestStreamCloseAndEngineCloseErrors(t *testing.T) {
 	}
 }
 
+// gateSink parks the goroutine that emits its first event until
+// release is closed, and reports that moment on entered. Later events
+// pass straight through.
+type gateSink struct {
+	once    sync.Once
+	entered chan struct{}
+	release chan struct{}
+}
+
+func (g *gateSink) Emit(Event) {
+	g.once.Do(func() {
+		close(g.entered)
+		<-g.release
+	})
+}
+
 // TestFleetOverloadShedsGracefully drives more concurrent frames than
 // the deliberately tiny engine can admit: the excess must fail fast
-// with ErrOverloaded (never deadlock), and admitted frames must still
-// complete once their submitters' contexts resolve.
+// with ErrOverloaded (never deadlock), a frame abandoned in the queue
+// must report its context error, and Close must drain cleanly.
 func TestFleetOverloadShedsGracefully(t *testing.T) {
 	d := getDets(t)
-	// One executor, a one-deep queue, and a batcher that can only
-	// flush by deadline far in the future: admitted frames pile up
-	// behind the batcher and the queue fills immediately.
-	eng := NewEngine(d,
-		WithFleetWorkers(1),
-		WithQueueDepth(1),
-		WithBatchPolicy(1000, time.Hour))
-	const streams = 6
-	ctx, cancel := context.WithCancel(context.Background())
-	var overloaded, cancelled, completed int
-	var mu sync.Mutex
-	var wg sync.WaitGroup
-	wg.Add(streams)
+	// One executor and a one-deep queue admit at most QueueDepth +
+	// Workers = 2 frames at once.
+	const workers, depth, streams = 1, 1, 6
+	eng := NewEngine(d, WithFleetWorkers(workers), WithQueueDepth(depth))
+	sink := &gateSink{entered: make(chan struct{}), release: make(chan struct{})}
+	var sts []*Stream
 	for i := 0; i < streams; i++ {
-		st, err := eng.NewStream(
-			WithStreamName(fmt.Sprintf("over-%d", i)),
-			WithStreamTimingOnly())
+		opts := []StreamOption{WithStreamName(fmt.Sprintf("over-%d", i)), WithStreamTimingOnly()}
+		if i == 0 {
+			opts = append(opts, WithStreamEventSink(sink))
+		}
+		st, err := eng.NewStream(opts...)
 		if err != nil {
 			t.Fatal(err)
 		}
+		sts = append(sts, st)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	errc := make(chan error, streams)
+	process := func(st *Stream) {
 		go func() {
-			defer wg.Done()
 			_, err := st.Process(ctx, RenderScene(312, 160, 90, Day))
-			mu.Lock()
-			defer mu.Unlock()
-			switch {
-			case err == nil:
-				completed++
-			case errors.Is(err, ErrOverloaded):
-				overloaded++
-			case errors.Is(err, context.Canceled):
-				cancelled++
-			default:
-				t.Errorf("unexpected error: %v", err)
-			}
+			errc <- err
 		}()
 	}
-	// Overload rejections are immediate; wait for them, then release
-	// the stuck admissions by cancelling.
-	for deadline := time.Now().Add(5 * time.Second); ; {
-		mu.Lock()
-		n := overloaded
-		mu.Unlock()
-		if n > 0 || time.Now().After(deadline) {
-			break
+	// Every frame emits EvFrame on the executor goroutine, so once the
+	// first stream's sink is entered the single executor is held and
+	// only the queue can take more work.
+	process(sts[0])
+	<-sink.entered
+	for _, st := range sts[1:] {
+		process(st)
+	}
+	// Rejections return at once; the frame that won the queue slot
+	// blocks behind the held executor.
+	const wantOverloaded = streams - (depth + workers)
+	for i := 0; i < wantOverloaded; i++ {
+		if err := <-errc; !errors.Is(err, ErrOverloaded) {
+			t.Fatalf("frame beyond the admission bound: err = %v, want ErrOverloaded", err)
 		}
-		time.Sleep(time.Millisecond)
 	}
+	// Cancel while the queued frame still waits: it is abandoned in the
+	// queue. Then let the held frame finish.
 	cancel()
-	wg.Wait()
-	eng.Close() // must not deadlock with abandoned items in the batcher
-	if overloaded == 0 {
-		t.Fatalf("no frame was shed with ErrOverloaded (completed=%d cancelled=%d)", completed, cancelled)
+	if err := <-errc; !errors.Is(err, context.Canceled) {
+		t.Fatalf("queued frame after cancel: err = %v, want context.Canceled", err)
 	}
-	if overloaded+cancelled+completed != streams {
-		t.Fatalf("accounted for %d of %d frames", overloaded+cancelled+completed, streams)
+	close(sink.release)
+	if err := <-errc; err != nil && !errors.Is(err, context.Canceled) {
+		t.Fatalf("held frame: unexpected error %v", err)
+	}
+	eng.Close() // must not deadlock with an abandoned item in the queue
+	if st := eng.FleetStats(); st.Rejected != wantOverloaded || st.Admitted != depth+workers || st.Abandoned != 1 {
+		t.Fatalf("fleet stats %+v, want %d rejected, %d admitted, 1 abandoned", st, wantOverloaded, depth+workers)
 	}
 }
 

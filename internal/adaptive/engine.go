@@ -25,7 +25,7 @@ type Engine struct {
 type EngineConfig struct {
 	// Parallelism is the total scan-lane budget shared by every stream
 	// on the engine (the pool size). Values <= 0 select
-	// runtime.NumCPU(). Per-stream Options.Parallelism then caps how
+	// runtime.GOMAXPROCS(0). Per-stream Options.Parallelism then caps how
 	// many of the shared lanes one frame may borrow.
 	Parallelism int
 }

@@ -59,7 +59,7 @@ type Detectors struct {
 // so the per-system flags must never write through the shared
 // pointers.
 func (d Detectors) withScanOptions(opt Options) Detectors {
-	if !opt.ScanQuantized && !opt.ScanNoEarlyReject && !opt.ScanTemporalCache {
+	if !opt.ScanTemporalCache {
 		return d
 	}
 	// Each clone gets its OWN temporal cache: a cache binds a detector
@@ -68,26 +68,17 @@ func (d Detectors) withScanOptions(opt Options) Detectors {
 	// pyramids) would poison it every frame.
 	if d.Day != nil {
 		c := *d.Day
-		c.Quantized, c.NoEarlyReject = opt.ScanQuantized, opt.ScanNoEarlyReject
-		if opt.ScanTemporalCache {
-			c.Temporal = pipeline.NewTemporalCache()
-		}
+		c.Temporal = pipeline.NewTemporalCache()
 		d.Day = &c
 	}
 	if d.Dusk != nil {
 		c := *d.Dusk
-		c.Quantized, c.NoEarlyReject = opt.ScanQuantized, opt.ScanNoEarlyReject
-		if opt.ScanTemporalCache {
-			c.Temporal = pipeline.NewTemporalCache()
-		}
+		c.Temporal = pipeline.NewTemporalCache()
 		d.Dusk = &c
 	}
 	if d.Pedestrian != nil {
 		c := *d.Pedestrian
-		c.Quantized, c.NoEarlyReject = opt.ScanQuantized, opt.ScanNoEarlyReject
-		if opt.ScanTemporalCache {
-			c.Temporal = pipeline.NewTemporalCache()
-		}
+		c.Temporal = pipeline.NewTemporalCache()
 		d.Pedestrian = &c
 	}
 	return d
@@ -147,7 +138,7 @@ type Options struct {
 	EnableTracking bool
 	// Parallelism bounds the detection worker pool: the software
 	// model of the PL's replicated window-evaluation lanes. Values
-	// <= 0 select runtime.NumCPU(); 1 runs every scan on the calling
+	// <= 0 select runtime.GOMAXPROCS(0); 1 runs every scan on the calling
 	// goroutine. Detection output is identical for every setting.
 	Parallelism int
 	// EnableMetrics attaches the frame-budget telemetry registry
@@ -164,17 +155,8 @@ type Options struct {
 	// loop. The zero value selects DefaultRetryPolicy; zero fields are
 	// filled from it.
 	Retry RetryPolicy
-	// ScanQuantized scores the HOG scans through the fixed-point
-	// block-response datapath (float fallback for borderline margins:
-	// identical detection boxes, scores within the quantizer's error
-	// bound). The system's detectors are shallow-cloned with the flag
-	// set, so shared Detectors values are never mutated.
-	ScanQuantized bool
-	// ScanNoEarlyReject disables the partial-margin early exit in the
-	// HOG scans, scoring every window from the full response plane.
-	ScanNoEarlyReject bool
-	// ScanTemporalCache reuses each HOG detector's feature/block/
-	// response stack across consecutive frames, recomputing only what
+	// ScanTemporalCache reuses each HOG detector's feature/block
+	// stack across consecutive frames, recomputing only what
 	// each frame's dirty tiles invalidate (byte-identical output; see
 	// pipeline.NewTemporalCache). Every detector clone gets its own
 	// cache, so the option is safe across streams sharing Detectors.
@@ -726,6 +708,7 @@ func (s *System) detectVehicles(ctx context.Context, sc *synth.Scene, cond synth
 	if err == nil && tm != nil {
 		s.metrics.StageObserve(metrics.StageScanResize, 0, uint64(tm.Resize))
 		s.metrics.StageObserve(metrics.StageScanFeature, 0, uint64(tm.Feature))
+		s.metrics.StageObserve(metrics.StageScanPrefilter, 0, uint64(tm.Prefilter))
 		s.metrics.StageObserve(metrics.StageScanBlocks, 0, uint64(tm.Blocks))
 		s.metrics.StageObserve(metrics.StageScanResponse, 0, uint64(tm.Response))
 		s.metrics.StageObserve(metrics.StageScanWindows, 0, uint64(tm.Windows))

@@ -14,6 +14,7 @@ import (
 	"advdet/internal/fleet"
 	"advdet/internal/hog"
 	"advdet/internal/metrics"
+	"advdet/internal/par"
 	"advdet/internal/pipeline"
 	"advdet/internal/svm"
 	"advdet/internal/synth"
@@ -34,7 +35,7 @@ type FleetPerf struct {
 	Streams         int `json:"streams"`
 	FramesPerStream int `json:"frames_per_stream"`
 	// Workers is the dispatcher executor count and scan-lane budget
-	// used by the fleet run (NumCPU by default).
+	// used by the fleet run (GOMAXPROCS by default).
 	Workers int `json:"workers"`
 	NumCPU  int `json:"num_cpu"`
 	FrameW  int `json:"frame_w"`
@@ -59,9 +60,8 @@ type FleetPerf struct {
 	DeadlineMisses     uint64  `json:"deadline_misses"`
 
 	// Overloaded counts admissions shed with ErrOverloaded and then
-	// retried by the harness; Batches is the dispatcher's flush count.
+	// retried by the harness.
 	Overloaded uint64 `json:"overloaded"`
-	Batches    uint64 `json:"batches"`
 
 	PerStream []StreamPerf `json:"per_stream"`
 }
@@ -72,7 +72,7 @@ type FleetOptions struct {
 	FramesPerStream int
 	W, H            int
 	// Workers sets the dispatcher executor count and the engine's
-	// scan-lane budget; <= 0 selects runtime.NumCPU().
+	// scan-lane budget; <= 0 selects runtime.GOMAXPROCS(0).
 	Workers int
 }
 
@@ -104,10 +104,7 @@ func FleetBench(opt FleetOptions) (FleetPerf, error) {
 		return FleetPerf{}, fmt.Errorf("experiments: fleet bench needs streams and frames, got %d/%d",
 			opt.Streams, opt.FramesPerStream)
 	}
-	workers := opt.Workers
-	if workers <= 0 {
-		workers = runtime.NumCPU()
-	}
+	workers := par.Workers(opt.Workers)
 	rep := FleetPerf{
 		Streams:         opt.Streams,
 		FramesPerStream: opt.FramesPerStream,
@@ -231,7 +228,6 @@ func FleetBench(opt FleetOptions) (FleetPerf, error) {
 		rep.SpeedupX = rep.AggregateFPS / rep.SingleStreamFPS
 	}
 	rep.Overloaded = overloads.Load()
-	rep.Batches = disp.Stats().Batches
 	snap := rollup.Snapshot()
 	rep.CapacityStreamsFPS = snap.CapacityStreamsFPS
 	rep.DeadlineHits = snap.DeadlineHits
@@ -255,5 +251,5 @@ func WriteFleet(w io.Writer, p FleetPerf) {
 	fmt.Fprintf(w, "  fleet aggregate: %.1f fps wall (%.2fx single-stream)\n", p.AggregateFPS, p.SpeedupX)
 	fmt.Fprintf(w, "  modeled capacity: %.0f streams×fps (deadline %d hit / %d missed)\n",
 		p.CapacityStreamsFPS, p.DeadlineHits, p.DeadlineMisses)
-	fmt.Fprintf(w, "  dispatcher: %d batches, %d overload shed+retry\n", p.Batches, p.Overloaded)
+	fmt.Fprintf(w, "  dispatcher: %d overload shed+retry\n", p.Overloaded)
 }

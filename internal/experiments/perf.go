@@ -59,15 +59,11 @@ type PerfReport struct {
 	ScanStages    []ScanStagePerf `json:"scan_stages"`
 
 	// Scan-lane comparison (additive in advdet-bench/v1): the same
-	// serial scan through each scoring strategy — the early-reject
-	// cascade (production default), the full precomputed response
-	// plane, the int16/int32 fixed-point datapath, and the per-window
-	// descriptor fallback. SpeedupX is full-margin over early-reject.
+	// serial scan through the block-response engine's early-reject
+	// scoring (production default) and the per-window descriptor
+	// fallback.
 	ScanEarlyRejectMS float64 `json:"scan_early_reject_ms"`
-	ScanFullMarginMS  float64 `json:"scan_full_margin_ms"`
-	ScanQuantizedMS   float64 `json:"scan_quantized_ms"`
 	ScanDescriptorMS  float64 `json:"scan_descriptor_ms"`
-	ScanEarlySpeedupX float64 `json:"scan_early_speedup_x"`
 
 	// Fleet capacity: N concurrent streams over one shared engine vs
 	// a standalone stream (additive in advdet-bench/v1).
@@ -207,7 +203,7 @@ func PerfBench() (PerfReport, error) {
 		{Stage: "windows", WallMS: tm.Windows.Seconds() * 1e3},
 	}
 
-	// Lane comparison: the same frame through each scoring strategy,
+	// Lane comparison: the same frame through each scoring path,
 	// serial, best of three so a stray scheduler hiccup on one rep
 	// doesn't masquerade as a regression.
 	lane := func(set func(d *pipeline.DayDuskDetector)) (float64, error) {
@@ -232,17 +228,8 @@ func PerfBench() (PerfReport, error) {
 	if rep.ScanEarlyRejectMS, err = lane(func(d *pipeline.DayDuskDetector) {}); err != nil {
 		return rep, err
 	}
-	if rep.ScanFullMarginMS, err = lane(func(d *pipeline.DayDuskDetector) { d.NoEarlyReject = true }); err != nil {
-		return rep, err
-	}
-	if rep.ScanQuantizedMS, err = lane(func(d *pipeline.DayDuskDetector) { d.Quantized = true }); err != nil {
-		return rep, err
-	}
 	if rep.ScanDescriptorMS, err = lane(func(d *pipeline.DayDuskDetector) { d.NoBlockResponse = true }); err != nil {
 		return rep, err
-	}
-	if rep.ScanEarlyRejectMS > 0 {
-		rep.ScanEarlySpeedupX = rep.ScanFullMarginMS / rep.ScanEarlyRejectMS
 	}
 
 	// Temporal scan cache: the same scan geometry over a static-camera
@@ -353,10 +340,8 @@ func WritePerf(w io.Writer, p PerfReport) {
 		fmt.Fprintf(w, "    stage %-9s %7.3f ms\n", s.Stage, s.WallMS)
 	}
 	if p.ScanEarlyRejectMS > 0 {
-		fmt.Fprintf(w, "  scan lanes: early-reject %.2f ms, full-margin %.2f ms (%.2fx), "+
-			"quantized %.2f ms, descriptor %.2f ms\n",
-			p.ScanEarlyRejectMS, p.ScanFullMarginMS, p.ScanEarlySpeedupX,
-			p.ScanQuantizedMS, p.ScanDescriptorMS)
+		fmt.Fprintf(w, "  scan lanes: early-reject %.2f ms, descriptor %.2f ms\n",
+			p.ScanEarlyRejectMS, p.ScanDescriptorMS)
 	}
 	if p.ScanTemporalColdMS > 0 {
 		fmt.Fprintf(w, "  temporal cache (static camera, 640x360): cold %.2f ms, warm %.2f ms (%.2fx), tile hit rate %.1f%%\n",

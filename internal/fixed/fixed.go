@@ -69,6 +69,27 @@ func (q Q) Mul(r Q) Q {
 	return Q(p)
 }
 
+// RoundShiftI64 arithmetically shifts v right by shift bits, rounding
+// to nearest with ties to even (convergent rounding — what a DSP48
+// output stage with CARRYIN-based rounding implements). shift must be
+// in [0, 62]. Unlike a bare >>, which floors and therefore biases a
+// multiply-accumulate chain low by up to half an LSB per operation,
+// round-half-even is bias-free in expectation and on tie sequences.
+func RoundShiftI64(v int64, shift uint) int64 {
+	if shift == 0 {
+		return v
+	}
+	q := v >> shift
+	half := int64(1) << (shift - 1)
+	// v>>shift floors, so the masked remainder is the non-negative
+	// fraction for negative v too.
+	frac := v & (int64(1)<<shift - 1)
+	if frac > half || (frac == half && q&1 != 0) {
+		q++
+	}
+	return q
+}
+
 // Div divides with a 64-bit intermediate; division by zero saturates
 // to the sign-appropriate extreme, matching the RTL divider's
 // saturation behaviour.

@@ -1,12 +1,12 @@
 // Package fleet multiplexes N concurrent camera streams over one
 // shared, bounded worker pool. Admission is a bounded channel with
 // backpressure — when the queue is full Submit fails fast with the
-// typed ErrOverloaded instead of queueing unboundedly — and admitted
-// work flows through a size-or-deadline batcher: items accumulate
-// until the batch is full or the oldest item has waited MaxWait, then
-// the whole batch is handed to the executor pool. Every item carries
-// timing stamps (enqueued, flushed, started, finished) so callers can
-// attribute frame latency to queueing, batching and execution.
+// typed ErrOverloaded instead of queueing unboundedly — and the
+// executors read admitted work straight off that channel, so at most
+// QueueDepth + Workers items are admitted and not yet finished at any
+// moment. Every item carries timing stamps (enqueued, started,
+// finished) so callers can attribute frame latency to queueing and
+// execution.
 //
 // The dispatcher is the software analogue of the paper's frame-slot
 // arbitration: a fixed fabric (the executor pool) time-shared by
@@ -18,10 +18,11 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"runtime"
 	"sync"
 	"sync/atomic"
 	"time"
+
+	"advdet/internal/par"
 )
 
 // Typed admission errors. Both are %w-wrappable sentinels: match with
@@ -45,32 +46,19 @@ var (
 
 // Config shapes a Dispatcher.
 type Config struct {
-	// Workers is the executor pool size; <= 0 selects runtime.NumCPU().
+	// Workers is the executor pool size; <= 0 selects
+	// runtime.GOMAXPROCS(0) (see par.Workers).
 	Workers int
 	// QueueDepth bounds the admission channel; a full queue makes
-	// Submit fail with ErrOverloaded. <= 0 selects 2×Workers.
+	// Submit fail with ErrOverloaded. <= 0 selects 2×Workers. With
+	// every executor busy, exactly QueueDepth more items are admitted.
 	QueueDepth int
-	// MaxBatch flushes a batch when it reaches this many items;
-	// <= 0 selects 4.
-	MaxBatch int
-	// MaxWait flushes a non-empty batch once its oldest item has
-	// waited this long, bounding the latency cost of batching;
-	// <= 0 selects 2ms.
-	MaxWait time.Duration
 }
 
 func (c Config) withDefaults() Config {
-	if c.Workers <= 0 {
-		c.Workers = runtime.NumCPU()
-	}
+	c.Workers = par.Workers(c.Workers)
 	if c.QueueDepth <= 0 {
 		c.QueueDepth = 2 * c.Workers
-	}
-	if c.MaxBatch <= 0 {
-		c.MaxBatch = 4
-	}
-	if c.MaxWait <= 0 {
-		c.MaxWait = 2 * time.Millisecond
 	}
 	return c
 }
@@ -78,12 +66,11 @@ func (c Config) withDefaults() Config {
 // Timing is one item's trip through the dispatcher.
 type Timing struct {
 	Enqueued time.Time // Submit admitted the item to the queue
-	Flushed  time.Time // the batcher flushed the item's batch
 	Started  time.Time // an executor picked the item up
 	Finished time.Time // the item's work function returned
 }
 
-// QueueWait is the time spent in admission + batching before an
+// QueueWait is the time spent in the admission queue before an
 // executor picked the item up.
 func (t Timing) QueueWait() time.Duration { return t.Started.Sub(t.Enqueued) }
 
@@ -112,16 +99,14 @@ type Stats struct {
 	Rejected  uint64 // items refused with ErrOverloaded
 	Executed  uint64 // items whose work function ran
 	Abandoned uint64 // items whose submitter gave up before execution
-	Batches   uint64 // batches flushed (by size or by deadline)
 }
 
-// Dispatcher is the shared bounded worker pool with a size-or-deadline
-// batcher in front. Build with NewDispatcher; Submit is safe for
+// Dispatcher is the shared bounded worker pool behind a bounded
+// admission queue. Build with NewDispatcher; Submit is safe for
 // concurrent use by any number of streams.
 type Dispatcher struct {
 	cfg    Config
-	in     chan *item // bounded admission queue
-	exec   chan *item // batcher → executor hand-off
+	in     chan *item // bounded admission queue, read by the executors
 	cancel context.CancelFunc
 	wg     sync.WaitGroup
 
@@ -134,10 +119,9 @@ type Dispatcher struct {
 	rejected  atomic.Uint64
 	executed  atomic.Uint64
 	abandoned atomic.Uint64
-	batches   atomic.Uint64
 }
 
-// NewDispatcher starts the batcher and executor goroutines. The
+// NewDispatcher starts the executor goroutines. The
 // dispatcher runs until Close, which drains and completes all admitted
 // work before returning.
 func NewDispatcher(cfg Config) *Dispatcher {
@@ -146,20 +130,17 @@ func NewDispatcher(cfg Config) *Dispatcher {
 	d := &Dispatcher{
 		cfg:    cfg,
 		in:     make(chan *item, cfg.QueueDepth),
-		exec:   make(chan *item),
 		cancel: cancel,
 	}
-	d.wg.Add(1)
-	go d.batchLoop()
 	d.wg.Add(cfg.Workers)
 	for w := 0; w < cfg.Workers; w++ {
 		go d.execLoop(ctx)
 	}
 	// shutdown is the single joiner for every goroutine spawned above:
 	// mark closed so no new Submit can send, close the admission
-	// queue, and wait for the batcher to flush and the executors to
-	// drain. Defined here so the goroutines' lifetime is visible at
-	// their spawn site; Close runs it exactly once.
+	// queue, and wait for the executors to drain it. Defined here so
+	// the goroutines' lifetime is visible at their spawn site; Close
+	// runs it exactly once.
 	d.shutdown = func() {
 		d.mu.Lock()
 		d.closed = true
@@ -223,70 +204,10 @@ func (d *Dispatcher) Submit(ctx context.Context, run func(context.Context)) (Tim
 	return it.tm, nil
 }
 
-// batchLoop accumulates admitted items and flushes by size or
-// deadline. It exits when the admission queue is closed, flushing the
-// tail batch and closing the executor hand-off so the pool drains.
-func (d *Dispatcher) batchLoop() {
-	defer d.wg.Done()
-	defer close(d.exec)
-	timer := time.NewTimer(d.cfg.MaxWait)
-	if !timer.Stop() {
-		<-timer.C
-	}
-	batch := make([]*item, 0, d.cfg.MaxBatch)
-	for {
-		if len(batch) == 0 {
-			it, ok := <-d.in
-			if !ok {
-				return
-			}
-			batch = append(batch, it)
-			timer.Reset(d.cfg.MaxWait)
-		}
-		if len(batch) < d.cfg.MaxBatch {
-			select {
-			case it, ok := <-d.in:
-				if !ok {
-					d.flush(&batch, timer)
-					return
-				}
-				batch = append(batch, it)
-				continue
-			case <-timer.C:
-				d.flush(&batch, nil)
-				continue
-			}
-		}
-		d.flush(&batch, timer)
-	}
-}
-
-// flush stamps and hands the batch to the executors, recycling the
-// batch slice. A non-nil timer is disarmed (the flush pre-empted the
-// deadline).
-func (d *Dispatcher) flush(batch *[]*item, timer *time.Timer) {
-	if timer != nil && !timer.Stop() {
-		select {
-		case <-timer.C:
-		default:
-		}
-	}
-	// Count the batch when it is sealed, not after the hand-off: a
-	// submitter whose item already executed must see its batch in
-	// Stats.
-	d.batches.Add(1)
-	now := time.Now()
-	for _, it := range *batch {
-		it.tm.Flushed = now
-		d.exec <- it
-	}
-	*batch = (*batch)[:0]
-}
-
-// execLoop drains the hand-off channel until the batcher closes it.
+// execLoop drains the admission queue until Close closes it.
 func (d *Dispatcher) execLoop(ctx context.Context) {
 	defer d.wg.Done()
-	for it := range d.exec {
+	for it := range d.in {
 		d.execute(ctx, it)
 	}
 }
@@ -323,7 +244,6 @@ func (d *Dispatcher) Stats() Stats {
 		Rejected:  d.rejected.Load(),
 		Executed:  d.executed.Load(),
 		Abandoned: d.abandoned.Load(),
-		Batches:   d.batches.Load(),
 	}
 }
 

@@ -3,6 +3,7 @@ package fleet
 import (
 	"context"
 	"errors"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -10,7 +11,7 @@ import (
 )
 
 func TestSubmitRunsWorkAndStampsTiming(t *testing.T) {
-	d := NewDispatcher(Config{Workers: 1, MaxWait: time.Millisecond})
+	d := NewDispatcher(Config{Workers: 1})
 	defer d.Close()
 	ran := false
 	tm, err := d.Submit(context.Background(), func(context.Context) { ran = true })
@@ -20,7 +21,7 @@ func TestSubmitRunsWorkAndStampsTiming(t *testing.T) {
 	if !ran {
 		t.Fatal("work function did not run")
 	}
-	if tm.Enqueued.After(tm.Flushed) || tm.Flushed.After(tm.Started) || tm.Started.After(tm.Finished) {
+	if tm.Enqueued.After(tm.Started) || tm.Started.After(tm.Finished) {
 		t.Fatalf("timing not monotonic: %+v", tm)
 	}
 	if tm.QueueWait() < 0 || tm.Run() < 0 {
@@ -32,52 +33,57 @@ func TestSubmitRunsWorkAndStampsTiming(t *testing.T) {
 	}
 }
 
-func TestBatchFlushesBySize(t *testing.T) {
-	// MaxWait is far beyond the test's patience: the only way the
-	// three submissions can complete is a size-triggered flush.
-	d := NewDispatcher(Config{Workers: 2, QueueDepth: 8, MaxBatch: 3, MaxWait: time.Hour})
+// TestAdmissionBoundIsQueueDepthPlusWorkers pins the admission bound:
+// with every executor parked inside a work function, exactly
+// QueueDepth more submissions are admitted, so QueueDepth + Workers
+// are in flight, and every further submission wraps ErrOverloaded.
+func TestAdmissionBoundIsQueueDepthPlusWorkers(t *testing.T) {
+	const workers, depth, extra = 2, 3, 5
+	d := NewDispatcher(Config{Workers: workers, QueueDepth: depth})
 	defer d.Close()
-	var wg sync.WaitGroup
-	var executed atomic.Int32
-	wg.Add(3)
-	for i := 0; i < 3; i++ {
+	gate := make(chan struct{})
+	entered := make(chan struct{}, workers+depth)
+	run := func(context.Context) {
+		entered <- struct{}{}
+		<-gate
+	}
+	errc := make(chan error, workers+depth+extra)
+	submit := func() {
 		go func() {
-			defer wg.Done()
-			if _, err := d.Submit(context.Background(), func(context.Context) { executed.Add(1) }); err != nil {
-				t.Errorf("submit: %v", err)
-			}
+			_, err := d.Submit(context.Background(), run)
+			errc <- err
 		}()
 	}
-	done := make(chan struct{})
-	go func() { wg.Wait(); close(done) }()
-	select {
-	case <-done:
-	case <-time.After(10 * time.Second):
-		t.Fatal("size-of-3 batch never flushed (deadline flush is an hour away)")
+	// Park every executor inside run before anything else is offered,
+	// so the queue is the only place left for admitted work.
+	for i := 0; i < workers; i++ {
+		submit()
 	}
-	if executed.Load() != 3 {
-		t.Fatalf("executed %d, want 3", executed.Load())
+	for i := 0; i < workers; i++ {
+		<-entered
 	}
-	if st := d.Stats(); st.Batches != 1 {
-		t.Fatalf("batches %d, want exactly 1 (one full batch)", st.Batches)
+	for i := 0; i < depth+extra; i++ {
+		submit()
 	}
-}
-
-func TestBatchFlushesByDeadline(t *testing.T) {
-	const wait = 50 * time.Millisecond
-	// MaxBatch is unreachably large: only the deadline can flush.
-	d := NewDispatcher(Config{Workers: 1, QueueDepth: 8, MaxBatch: 1000, MaxWait: wait})
-	defer d.Close()
-	start := time.Now()
-	tm, err := d.Submit(context.Background(), func(context.Context) {})
-	if err != nil {
-		t.Fatal(err)
+	// Only rejections return while the gate is shut: admitted
+	// submissions block until their work has run.
+	for i := 0; i < extra; i++ {
+		if err := <-errc; !errors.Is(err, ErrOverloaded) {
+			t.Fatalf("submission beyond the bound: err = %v, want ErrOverloaded", err)
+		}
 	}
-	if held := tm.Flushed.Sub(start); held < wait/2 {
-		t.Fatalf("flushed after %v, want the deadline hold of ~%v", held, wait)
+	if st := d.Stats(); st.Rejected != extra {
+		t.Fatalf("rejected %d, want %d", st.Rejected, extra)
 	}
-	if st := d.Stats(); st.Batches != 1 || st.Executed != 1 {
-		t.Fatalf("stats %+v", st)
+	close(gate)
+	for i := 0; i < workers+depth; i++ {
+		if err := <-errc; err != nil {
+			t.Fatalf("admitted submission: %v", err)
+		}
+	}
+	if st := d.Stats(); st.Admitted != workers+depth || st.Executed != workers+depth {
+		t.Fatalf("admitted %d, executed %d; want %d each (QueueDepth + Workers)",
+			st.Admitted, st.Executed, workers+depth)
 	}
 }
 
@@ -85,7 +91,7 @@ func TestBatchFlushesByDeadline(t *testing.T) {
 // executor is parked inside a work function until gate is closed.
 func blockedDispatcher(t *testing.T, depth int) (d *Dispatcher, gate chan struct{}, blockerDone chan error) {
 	t.Helper()
-	d = NewDispatcher(Config{Workers: 1, QueueDepth: depth, MaxBatch: 1, MaxWait: time.Millisecond})
+	d = NewDispatcher(Config{Workers: 1, QueueDepth: depth})
 	gate = make(chan struct{})
 	started := make(chan struct{})
 	blockerDone = make(chan error, 1)
@@ -102,9 +108,8 @@ func blockedDispatcher(t *testing.T, depth int) (d *Dispatcher, gate chan struct
 
 func TestSubmitOverloadedWhenQueueFull(t *testing.T) {
 	d, gate, blockerDone := blockedDispatcher(t, 1)
-	// With the executor parked, at most three more submissions can be
-	// in flight (one blocked in the batcher's flush, one batched, one
-	// queued); sixteen concurrent submitters must see rejections.
+	// With the executor parked, exactly one more submission fits in
+	// the queue; sixteen concurrent submitters must see rejections.
 	const submitters = 16
 	var rejected, accepted atomic.Int32
 	var wg sync.WaitGroup
@@ -208,7 +213,7 @@ func TestSubmitAbandonedInQueueOnCancel(t *testing.T) {
 }
 
 func TestCloseDrainsAdmittedWorkThenRejects(t *testing.T) {
-	d := NewDispatcher(Config{Workers: 2, QueueDepth: 16, MaxBatch: 4, MaxWait: time.Millisecond})
+	d := NewDispatcher(Config{Workers: 2, QueueDepth: 16})
 	var executed atomic.Int32
 	var wg sync.WaitGroup
 	const n = 10
@@ -252,7 +257,7 @@ func TestSentinelsAreDistinct(t *testing.T) {
 }
 
 func TestConcurrentSubmittersAllComplete(t *testing.T) {
-	d := NewDispatcher(Config{Workers: 4, QueueDepth: 256, MaxBatch: 8, MaxWait: 100 * time.Microsecond})
+	d := NewDispatcher(Config{Workers: 4, QueueDepth: 256})
 	defer d.Close()
 	const streams = 8
 	const frames = 50
@@ -278,16 +283,13 @@ func TestConcurrentSubmittersAllComplete(t *testing.T) {
 	if st.Admitted != streams*frames || st.Executed != streams*frames {
 		t.Fatalf("stats %+v", st)
 	}
-	if st.Batches == 0 || st.Batches > st.Admitted {
-		t.Fatalf("implausible batch count %d for %d items", st.Batches, st.Admitted)
-	}
 }
 
 func TestConfigDefaults(t *testing.T) {
 	d := NewDispatcher(Config{})
 	defer d.Close()
 	cfg := d.Config()
-	if cfg.Workers <= 0 || cfg.QueueDepth != 2*cfg.Workers || cfg.MaxBatch != 4 || cfg.MaxWait != 2*time.Millisecond {
+	if cfg.Workers != runtime.GOMAXPROCS(0) || cfg.QueueDepth != 2*cfg.Workers {
 		t.Fatalf("defaults %+v", cfg)
 	}
 }

@@ -37,7 +37,7 @@ type BlockGrid struct {
 
 // NewBlockGridCtx computes the normalized block grid of fm with block
 // rows fanned out across workers goroutines (workers <= 0 means
-// NumCPU). The result is bitwise identical for every worker count; on
+// GOMAXPROCS). The result is bitwise identical for every worker count; on
 // cancellation the partial grid is discarded and the context's error
 // returned.
 func NewBlockGridCtx(ctx context.Context, fm *FeatureMap, workers int) (*BlockGrid, error) {

@@ -60,7 +60,7 @@ func (c Config) NewFeatureMap(g *img.Gray) *FeatureMap {
 }
 
 // NewFeatureMapCtx computes the cache with both stages fanned out
-// across workers goroutines (workers <= 0 means NumCPU): gradient
+// across workers goroutines (workers <= 0 means GOMAXPROCS): gradient
 // rows first, then cell-histogram rows. The result is bitwise
 // identical for every worker count. On cancellation the partial map
 // is discarded and the context's error returned.

@@ -44,11 +44,13 @@ const (
 	StageReconfigFault
 	// StageScanResize through StageScanWindows attribute one vehicle
 	// scan's wall time to the block-response engine's sub-stages
-	// (pyramid resize, feature maps, block normalization, partial SVM
-	// responses, window scoring) — the software mirror of the Fig. 2
-	// datapath stages.
+	// (pyramid resize, feature maps, haar prefilter integrals, block
+	// normalization, anchor lattice setup, window scoring) — the
+	// software mirror of the Fig. 2 datapath stages. The prefilter
+	// stage is zero when no prefilter cascade is attached.
 	StageScanResize
 	StageScanFeature
+	StageScanPrefilter
 	StageScanBlocks
 	StageScanResponse
 	StageScanWindows
@@ -57,9 +59,9 @@ const (
 	// zero when no cache is attached).
 	StageScanTemporal
 	// StageFleetDispatch is one frame's trip through the fleet
-	// dispatcher's admission queue and batcher before an executor
-	// picked it up (wall time only; the dispatcher is host-side
-	// software with no simulated-hardware counterpart).
+	// dispatcher's admission queue before an executor picked it up
+	// (wall time only; the dispatcher is host-side software with no
+	// simulated-hardware counterpart).
 	StageFleetDispatch
 	// NumStages bounds the stage space.
 	NumStages
@@ -68,7 +70,7 @@ const (
 var stageNames = [NumStages]string{
 	"sense", "model-select", "vehicle-scan", "pedestrian-scan",
 	"dma-stream", "reconfig", "reconfig-fault",
-	"scan-resize", "scan-feature", "scan-blocks", "scan-response", "scan-windows",
+	"scan-resize", "scan-feature", "scan-prefilter", "scan-blocks", "scan-response", "scan-windows",
 	"scan-temporal",
 	"fleet-dispatch",
 }
@@ -165,7 +167,7 @@ type TileKind int
 
 const (
 	// TileHits: tiles whose fingerprint matched and whose cached
-	// feature/block/response rows were reused as-is.
+	// feature and block rows were reused as-is.
 	TileHits TileKind = iota
 	// TileMisses: tiles whose fingerprint differed from the cached one
 	// (frame content changed there).

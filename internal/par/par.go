@@ -24,16 +24,18 @@ import (
 )
 
 // Workers resolves a parallelism knob: values <= 0 select
-// runtime.NumCPU(), anything else is used as given.
+// runtime.GOMAXPROCS(0), so CPU quotas and the GOMAXPROCS environment
+// variable are honoured; anything else is used as given. It is the
+// one place the module picks a default worker count.
 func Workers(n int) int {
 	if n <= 0 {
-		return runtime.NumCPU()
+		return runtime.GOMAXPROCS(0)
 	}
 	return n
 }
 
 // ForEach invokes fn(i) for every i in [0, n), fanning the indices
-// across at most workers goroutines (workers <= 0 means NumCPU). It
+// across at most workers goroutines (workers <= 0 means GOMAXPROCS). It
 // returns when every index has been processed or the context is
 // cancelled; on cancellation the remaining indices are skipped and
 // the context's error is returned, so callers must discard partial

@@ -9,11 +9,24 @@ import (
 )
 
 func TestWorkersResolvesAuto(t *testing.T) {
-	if Workers(0) != runtime.NumCPU() || Workers(-3) != runtime.NumCPU() {
-		t.Fatal("non-positive knob must resolve to NumCPU")
+	if Workers(0) != runtime.GOMAXPROCS(0) || Workers(-3) != runtime.GOMAXPROCS(0) {
+		t.Fatal("non-positive knob must resolve to GOMAXPROCS")
 	}
 	if Workers(5) != 5 {
 		t.Fatal("explicit knob must pass through")
+	}
+}
+
+// TestWorkersFollowsGOMAXPROCS pins the default to the scheduler's
+// processor count, not the machine's CPU count: with GOMAXPROCS
+// lowered to 1 the default is one worker whatever NumCPU says.
+func TestWorkersFollowsGOMAXPROCS(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	if got := Workers(0); got != 1 {
+		t.Fatalf("Workers(0) = %d under GOMAXPROCS=1, want 1", got)
+	}
+	if got := NewPool(0).Size(); got != 1 {
+		t.Fatalf("NewPool(0).Size() = %d under GOMAXPROCS=1, want 1", got)
 	}
 }
 

@@ -17,7 +17,7 @@ type Pool struct {
 }
 
 // NewPool builds a pool with the given number of lanes; size <= 0
-// selects runtime.NumCPU() via Workers.
+// selects runtime.GOMAXPROCS(0) via Workers.
 func NewPool(size int) *Pool {
 	size = Workers(size)
 	p := &Pool{slots: make(chan struct{}, size), size: size}

@@ -34,12 +34,6 @@ type AnimalDetector struct {
 	// NoBlockResponse disables the block-response scoring engine
 	// (see DayDuskDetector.NoBlockResponse).
 	NoBlockResponse bool
-	// NoEarlyReject disables the partial-margin early exit
-	// (see DayDuskDetector.NoEarlyReject).
-	NoEarlyReject bool
-	// Quantized scores windows in the fixed-point datapath
-	// (see DayDuskDetector.Quantized).
-	Quantized bool
 	// Prefilter integral-image-rejects scan windows before HOG scoring
 	// when trained at this detector's window geometry
 	// (see DayDuskDetector.Prefilter).
@@ -76,7 +70,7 @@ func (d *AnimalDetector) Detect(g *img.Gray) []Detection {
 }
 
 // DetectCtx is Detect with cancellation and a bounded worker pool
-// sharing one per-level feature cache (workers <= 0 means NumCPU).
+// sharing one per-level feature cache (workers <= 0 means GOMAXPROCS).
 // Output is identical for every worker count.
 func (d *AnimalDetector) DetectCtx(ctx context.Context, g *img.Gray, workers int) ([]Detection, error) {
 	return d.DetectTimedCtx(ctx, g, workers, nil)
@@ -90,7 +84,6 @@ func (d *AnimalDetector) DetectTimedCtx(ctx context.Context, g *img.Gray, worker
 		WinW: AnimalWindowW, WinH: AnimalWindowH,
 		Stride: d.Stride, Scale: d.Scale, Thresh: d.DetectThresh,
 		Kind: KindAnimal, NoBlockResponse: d.NoBlockResponse,
-		NoEarlyReject: d.NoEarlyReject, Quantized: d.Quantized,
 		Prefilter: d.Prefilter,
 	}
 	dets, err := scan.runTimed(ctx, g, workers, tm)

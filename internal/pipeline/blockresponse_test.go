@@ -15,10 +15,9 @@ import (
 // the zero value is the production default (block-response engine
 // with the partial-margin early exit).
 type scanVariant struct {
-	noBlocks  bool // force the per-window descriptor path
-	noEarly   bool // disable the early exit (full response plane)
-	quantized bool // fixed-point scoring with float borderline fallback
-	prefilter *haar.Cascade
+	noBlocks   bool // force the per-window descriptor path
+	fullMargin bool // score with the fullMarginDetect reference instead
+	prefilter  *haar.Cascade
 }
 
 // scanFn runs one full detect under a scoring variant, so the table
@@ -47,41 +46,25 @@ func blockEquivalenceCases(t *testing.T) []struct {
 	}{
 		{"day", dayFrame, func(t *testing.T, g *img.Gray, workers int, v scanVariant) []Detection {
 			det := NewDayDuskDetector(dayModel)
-			applyVariant(&det.NoBlockResponse, &det.NoEarlyReject, &det.Quantized, &det.Prefilter, v)
-			dets, err := det.DetectCtx(context.Background(), g, workers)
-			if err != nil {
-				t.Fatal(err)
-			}
-			return dets
+			applyVariant(&det.NoBlockResponse, &det.Prefilter, v)
+			return detectVariant(t, det, g, workers, v)
 		}},
 		{"dusk", duskFrame, func(t *testing.T, g *img.Gray, workers int, v scanVariant) []Detection {
 			det := NewDayDuskDetector(duskModel)
 			det.DetectThresh = -0.25 // loosen so the scene yields detections to compare
-			applyVariant(&det.NoBlockResponse, &det.NoEarlyReject, &det.Quantized, &det.Prefilter, v)
-			dets, err := det.DetectCtx(context.Background(), g, workers)
-			if err != nil {
-				t.Fatal(err)
-			}
-			return dets
+			applyVariant(&det.NoBlockResponse, &det.Prefilter, v)
+			return detectVariant(t, det, g, workers, v)
 		}},
 		{"pedestrian", dayFrame, func(t *testing.T, g *img.Gray, workers int, v scanVariant) []Detection {
 			d := *ped
 			d.DetectThresh = -0.25 // loosen so the scene yields detections to compare
-			applyVariant(&d.NoBlockResponse, &d.NoEarlyReject, &d.Quantized, &d.Prefilter, v)
-			dets, err := d.DetectCtx(context.Background(), g, workers)
-			if err != nil {
-				t.Fatal(err)
-			}
-			return dets
+			applyVariant(&d.NoBlockResponse, &d.Prefilter, v)
+			return detectVariant(t, &d, g, workers, v)
 		}},
 		{"animal", dayFrame, func(t *testing.T, g *img.Gray, workers int, v scanVariant) []Detection {
 			d := *animal
-			applyVariant(&d.NoBlockResponse, &d.NoEarlyReject, &d.Quantized, &d.Prefilter, v)
-			dets, err := d.DetectCtx(context.Background(), g, workers)
-			if err != nil {
-				t.Fatal(err)
-			}
-			return dets
+			applyVariant(&d.NoBlockResponse, &d.Prefilter, v)
+			return detectVariant(t, &d, g, workers, v)
 		}},
 	}
 }
@@ -138,11 +121,8 @@ func TestScanSteadyStateAllocs(t *testing.T) {
 		set  func(d *DayDuskDetector)
 	}{
 		{"early", func(d *DayDuskDetector) {}},
-		{"full-margin", func(d *DayDuskDetector) { d.NoEarlyReject = true }},
-		{"quantized", func(d *DayDuskDetector) { d.Quantized = true }},
 		{"prefilter", func(d *DayDuskDetector) { d.Prefilter = constCascade(64, 64, -1) }},
 		{"temporal", func(d *DayDuskDetector) { d.Temporal = NewTemporalCache() }},
-		{"temporal-quantized", func(d *DayDuskDetector) { d.Temporal = NewTemporalCache(); d.Quantized = true }},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			det := *base
@@ -166,7 +146,8 @@ func TestScanSteadyStateAllocs(t *testing.T) {
 }
 
 // TestScanTimingsReported checks DetectTimedCtx fills every stage and
-// flags the block path.
+// flags the block path. The prefilter stage is timed only when a
+// cascade is attached.
 func TestScanTimingsReported(t *testing.T) {
 	det := NewDayDuskDetector(trainSmall(t, synth.DayDataset(730, 64, 64, 40, 40)))
 	g := scanScene(731, 256, 160)
@@ -176,6 +157,9 @@ func TestScanTimingsReported(t *testing.T) {
 	}
 	if !tm.BlockPath {
 		t.Fatal("aligned-stride scan did not take the block path")
+	}
+	if tm.Prefilter != 0 {
+		t.Fatalf("scan without a prefilter reported %v of prefilter time", tm.Prefilter)
 	}
 	for _, st := range []struct {
 		name string
@@ -190,6 +174,14 @@ func TestScanTimingsReported(t *testing.T) {
 		if st.d <= 0 {
 			t.Fatalf("stage %s reported no wall time", st.name)
 		}
+	}
+	pdet := *det
+	pdet.Prefilter = constCascade(VehicleWindow, VehicleWindow, -1)
+	if _, err := pdet.DetectTimedCtx(context.Background(), g, 1, &tm); err != nil {
+		t.Fatal(err)
+	}
+	if tm.Prefilter <= 0 {
+		t.Fatal("stage prefilter reported no wall time with a cascade attached")
 	}
 	det.NoBlockResponse = true
 	if _, err := det.DetectTimedCtx(context.Background(), g, 1, &tm); err != nil {

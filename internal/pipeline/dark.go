@@ -151,7 +151,7 @@ func (d *DarkDetector) ScanLightsStats(b *img.Binary) ([]Light, ScanStats) {
 }
 
 // ScanLightsStatsCtx fans the window rows of the DBN scan across
-// workers goroutines (workers <= 0 means NumCPU). Each row owns its
+// workers goroutines (workers <= 0 means GOMAXPROCS). Each row owns its
 // output slot and rows are reassembled in raster order, so the merged
 // light list is identical for every worker count. On cancellation it
 // returns the context's error.
@@ -282,7 +282,7 @@ func (d *DarkDetector) Detect(frame *img.RGB) []Detection {
 }
 
 // DetectCtx is Detect with cancellation and a bounded worker pool for
-// the DBN sliding-window stage (workers <= 0 means NumCPU). Output is
+// the DBN sliding-window stage (workers <= 0 means GOMAXPROCS). Output is
 // identical for every worker count.
 func (d *DarkDetector) DetectCtx(ctx context.Context, frame *img.RGB, workers int) ([]Detection, error) {
 	factor := d.Cfg.FactorFor(frame.W)

@@ -35,17 +35,10 @@ type DayDuskDetector struct {
 	// scores every window through its full descriptor. Benchmarks and
 	// equivalence tests use it; production leaves it false.
 	NoBlockResponse bool
-	// NoEarlyReject disables the partial-margin early exit and scores
-	// every window through the full precomputed response plane.
-	NoEarlyReject bool
-	// Quantized scores windows in the fixed-point datapath with float
-	// fallback for borderline margins (same box set, scores within the
-	// quantizer's analytic error bound).
-	Quantized bool
 	// Prefilter, when non-nil and trained at the vehicle window
 	// geometry, integral-image-rejects scan windows before HOG scoring.
 	Prefilter *haar.Cascade
-	// Temporal, when non-nil, reuses the feature/block/response stack
+	// Temporal, when non-nil, reuses the feature/block stack
 	// across consecutive frames, recomputing only what each frame's
 	// dirty tiles invalidate (see NewTemporalCache). Byte-identical
 	// output; a cache binds this detector to one frame sequence and
@@ -92,7 +85,7 @@ func (d *DayDuskDetector) Detect(g *img.Gray) []Detection {
 // DetectCtx is Detect with cancellation and a bounded worker pool:
 // the per-frame HOG feature cache is computed once per pyramid level
 // and window rows are fanned out across workers goroutines
-// (workers <= 0 means NumCPU). Output is identical for every worker
+// (workers <= 0 means GOMAXPROCS). Output is identical for every worker
 // count. On cancellation it returns the context's error wrapped.
 func (d *DayDuskDetector) DetectCtx(ctx context.Context, g *img.Gray, workers int) ([]Detection, error) {
 	return d.DetectTimedCtx(ctx, g, workers, nil)
@@ -106,7 +99,6 @@ func (d *DayDuskDetector) DetectTimedCtx(ctx context.Context, g *img.Gray, worke
 		WinW: VehicleWindow, WinH: VehicleWindow,
 		Stride: d.Stride, Scale: d.Scale, Thresh: d.DetectThresh,
 		Kind: KindVehicle, NoBlockResponse: d.NoBlockResponse,
-		NoEarlyReject: d.NoEarlyReject, Quantized: d.Quantized,
 		Prefilter: d.Prefilter, Temporal: d.Temporal,
 	}
 	dets, err := scan.runTimed(ctx, g, workers, tm)

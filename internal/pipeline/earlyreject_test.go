@@ -2,7 +2,6 @@ package pipeline
 
 import (
 	"context"
-	"math"
 	"runtime"
 	"testing"
 
@@ -15,11 +14,106 @@ import (
 
 // applyVariant writes a scanVariant's knobs through the detector
 // field pointers, so one helper serves all three HOG detector types.
-func applyVariant(noBlocks, noEarly, quantized *bool, prefilter **haar.Cascade, v scanVariant) {
+func applyVariant(noBlocks *bool, prefilter **haar.Cascade, v scanVariant) {
 	*noBlocks = v.noBlocks
-	*noEarly = v.noEarly
-	*quantized = v.quantized
 	*prefilter = v.prefilter
+}
+
+// hogDetector is the detect surface the three HOG detectors share.
+type hogDetector interface {
+	DetectCtx(ctx context.Context, g *img.Gray, workers int) ([]Detection, error)
+}
+
+// detectVariant runs d over g, or the full-margin reference when the
+// variant asks for it.
+func detectVariant(t *testing.T, d hogDetector, g *img.Gray, workers int, v scanVariant) []Detection {
+	t.Helper()
+	if v.fullMargin {
+		return fullMarginDetect(t, d, g)
+	}
+	dets, err := d.DetectCtx(context.Background(), g, workers)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return dets
+}
+
+// fullMarginDetect is the exact reference for the early-reject scan.
+// It rebuilds each pyramid level's block grid serially, keeps every
+// window whose full svm.BlockModel.WindowMargin exceeds the detector's
+// threshold, in level-major raster order, and applies the detector's
+// NMS. There is no early exit, no pooled scratch and no fan-out.
+func fullMarginDetect(t *testing.T, d hogDetector, g *img.Gray) []Detection {
+	t.Helper()
+	var s hogScan
+	var nmsIoU float64
+	switch d := d.(type) {
+	case *DayDuskDetector:
+		s = hogScan{Cfg: d.HOG, Model: d.Model, WinW: VehicleWindow, WinH: VehicleWindow,
+			Stride: d.Stride, Scale: d.Scale, Thresh: d.DetectThresh, Kind: KindVehicle}
+		nmsIoU = d.NMSIoU
+	case *PedestrianDetector:
+		s = hogScan{Cfg: d.HOG, Model: d.Model, WinW: PedWindowW, WinH: PedWindowH,
+			Stride: d.Stride, Scale: d.Scale, Thresh: d.DetectThresh, Kind: KindPedestrian}
+		nmsIoU = d.NMSIoU
+	case *AnimalDetector:
+		s = hogScan{Cfg: d.HOG, Model: d.Model, WinW: AnimalWindowW, WinH: AnimalWindowH,
+			Stride: d.Stride, Scale: d.Scale, Thresh: d.DetectThresh, Kind: KindAnimal}
+		nmsIoU = d.NMSIoU
+	default:
+		t.Fatalf("no full-margin reference for %T", d)
+	}
+	cell := s.Cfg.CellSize
+	if s.Stride%cell != 0 {
+		t.Fatalf("stride %d is off the %d-px cell grid; the block path does not apply", s.Stride, cell)
+	}
+	bw, bh := s.Cfg.BlocksFor(s.WinW, s.WinH)
+	bm, err := svm.NewBlockModel(s.Model, bw, bh, s.Cfg.BlockCells*s.Cfg.BlockCells*s.Cfg.Bins)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx := context.Background()
+	var dets []Detection
+	for _, sz := range img.PyramidSizes(g.W, g.H, s.Scale, s.WinW, s.WinH) {
+		level := img.ResizeGray(g, sz[0], sz[1])
+		var fm hog.FeatureMap
+		if err := fm.ComputeCtx(ctx, s.Cfg, level, 1, new(hog.Scratch)); err != nil {
+			t.Fatal(err)
+		}
+		var bg hog.BlockGrid
+		if err := bg.ComputeCtx(ctx, &fm, 1); err != nil {
+			t.Fatal(err)
+		}
+		nbx, nby := bg.Dims()
+		lat := svm.Lattice{
+			NBX: nbx, NBY: nby,
+			StepX: s.Stride / cell, StepY: s.Stride / cell,
+			NAX: scanPositions(level.W, s.WinW, s.Stride), NAY: scanPositions(level.H, s.WinH, s.Stride),
+			BlockStride: s.Cfg.BlockStride,
+		}
+		if lat.NAX == 0 || lat.NAY == 0 {
+			continue
+		}
+		if err := bm.CheckLattice(lat, len(bg.Data())); err != nil {
+			t.Fatal(err)
+		}
+		fx := float64(g.W) / float64(level.W)
+		fy := float64(g.H) / float64(level.H)
+		for ay := 0; ay < lat.NAY; ay++ {
+			for ax := 0; ax < lat.NAX; ax++ {
+				m := bm.WindowMargin(bg.Data(), lat, ax, ay)
+				if m <= s.Thresh {
+					continue
+				}
+				x, y := ax*s.Stride, ay*s.Stride
+				dets = append(dets, Detection{Box: img.Rect{
+					X0: int(float64(x) * fx), Y0: int(float64(y) * fy),
+					X1: int(float64(x+s.WinW) * fx), Y1: int(float64(y+s.WinH) * fy),
+				}, Score: m, Kind: s.Kind})
+			}
+		}
+	}
+	return NMS(dets, nmsIoU)
 }
 
 // constCascade builds a single-stage stump-free cascade at the given
@@ -43,16 +137,16 @@ func requireSameDetections(t *testing.T, label string, got, want []Detection) {
 	}
 }
 
-// TestEarlyRejectMatchesFullMargin is the tentpole's exactness gate:
-// for every scan kind and worker count, the early-reject scan must be
-// byte-identical — boxes, kinds, order, and bitwise scores — to the
-// full-margin plane scan. The early exit's surviving windows re-sum
-// their partials in canonical order, so even the float rounding
-// agrees.
+// TestEarlyRejectMatchesFullMargin is the early exit's exactness
+// gate: for every scan kind and worker count, the early-reject scan
+// must be byte-identical — boxes, kinds, order, and bitwise scores —
+// to the full-margin reference, which scores every window with
+// WindowMargin. The early exit's surviving windows re-sum their
+// partials in canonical order, so even the float rounding agrees.
 func TestEarlyRejectMatchesFullMargin(t *testing.T) {
 	for _, tc := range blockEquivalenceCases(t) {
 		t.Run(tc.name, func(t *testing.T) {
-			ref := tc.scan(t, tc.frame, 1, scanVariant{noEarly: true})
+			ref := tc.scan(t, tc.frame, 1, scanVariant{fullMargin: true})
 			if len(ref) == 0 {
 				t.Fatalf("%s: full-margin scan found nothing; scene too easy to miss a regression", tc.name)
 			}
@@ -60,79 +154,6 @@ func TestEarlyRejectMatchesFullMargin(t *testing.T) {
 				got := tc.scan(t, tc.frame, workers, scanVariant{})
 				requireSameDetections(t, tc.name, got, ref)
 			}
-		})
-	}
-}
-
-// TestQuantizedBoundedDivergence is the quantized path's acceptance
-// gate over seed scenes rendered in all three lighting conditions:
-// the box set and kinds must be identical to the float scan (the
-// guard band plus float borderline fallback make this structural, not
-// statistical) and every score must sit within the quantizer's
-// analytic error bound. The quantized plane path (early exit off)
-// must match the on-demand quantized path exactly.
-func TestQuantizedBoundedDivergence(t *testing.T) {
-	dayModel := trainSmall(t, synth.DayDataset(700, 64, 64, 50, 50))
-	duskModel := trainSmall(t, synth.DuskDataset(701, 64, 64, 50, 50, 0))
-	cfg := hog.DefaultConfig()
-	bw, bh := cfg.BlocksFor(64, 64)
-	blockLen := cfg.BlockCells * cfg.BlockCells * cfg.Bins
-	scenes := []struct {
-		name  string
-		model *svm.Model
-		g     *img.Gray
-	}{
-		{"day", dayModel, img.RGBToGray(synth.RenderScene(synth.NewRNG(810),
-			synth.SceneConfig{W: 320, H: 200, Cond: synth.Day, NumVehicles: 3}).Frame)},
-		{"dusk", duskModel, img.RGBToGray(synth.RenderScene(synth.NewRNG(811),
-			synth.SceneConfig{W: 320, H: 200, Cond: synth.Dusk, NumVehicles: 3}).Frame)},
-		{"dark", duskModel, img.RGBToGray(synth.RenderScene(synth.NewRNG(812),
-			synth.SceneConfig{W: 320, H: 200, Cond: synth.Dark, NumVehicles: 2, RoadLights: 2}).Frame)},
-	}
-	ctx := context.Background()
-	for _, sc := range scenes {
-		t.Run(sc.name, func(t *testing.T) {
-			det := NewDayDuskDetector(sc.model)
-			det.DetectThresh = -0.25 // loosen so every scene yields detections
-			ref, err := det.DetectCtx(ctx, sc.g, 1)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if len(ref) == 0 && sc.name != "dark" {
-				t.Fatalf("%s: float scan found nothing; scene too easy to miss a regression", sc.name)
-			}
-			var qm svm.QuantBlockModel
-			if err := qm.Init(sc.model, bw, bh, blockLen, det.DetectThresh); err != nil {
-				t.Fatalf("quantizer rejected the trained model: %v", err)
-			}
-			qdet := *det
-			qdet.Quantized = true
-			got, err := qdet.DetectCtx(ctx, sc.g, 1)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if len(got) != len(ref) {
-				t.Fatalf("quantized scan: %d detections, want %d", len(got), len(ref))
-			}
-			for i := range ref {
-				if got[i].Box != ref[i].Box || got[i].Kind != ref[i].Kind {
-					t.Fatalf("quantized detection %d = %+v, want box/kind of %+v", i, got[i], ref[i])
-				}
-				if d := math.Abs(got[i].Score - ref[i].Score); d > qm.ErrBound() {
-					t.Fatalf("quantized detection %d score diverges by %g, bound %g",
-						i, d, qm.ErrBound())
-				}
-			}
-			// Plane path (early exit off) must agree with the on-demand
-			// quantized path bit for bit: same integer arithmetic, same
-			// borderline fallback.
-			pdet := qdet
-			pdet.NoEarlyReject = true
-			plane, err := pdet.DetectCtx(ctx, sc.g, 1)
-			if err != nil {
-				t.Fatal(err)
-			}
-			requireSameDetections(t, "quantized plane vs on-demand", plane, got)
 		})
 	}
 }
@@ -254,44 +275,38 @@ func TestReleaseScanScratchClearsResults(t *testing.T) {
 // TestSetLevelsInvalidatesShrunkEntries is the fails-pre-fix
 // regression for the per-level arena seam: a pyramid that shrinks
 // between borrows must not leave levels beyond the new count holding
-// the previous scan's response planes, lattices or anchor widths —
-// state nothing re-derives, which any later read would interpret as
-// current.
+// the previous scan's lattices or anchor widths — state nothing
+// re-derives, which any later read would interpret as current.
 func TestSetLevelsInvalidatesShrunkEntries(t *testing.T) {
 	s := new(scanScratch)
 	s.setLevels(5)
+	live := svm.Lattice{NAX: 7, NAY: 7, NBX: 9, NBY: 9, StepX: 1, StepY: 1, BlockStride: 1}
 	for i := 0; i < 5; i++ {
-		s.resp[i] = append(s.resp[i][:0], 1, 2, 3)
-		s.qgrids[i] = append(s.qgrids[i][:0], 4)
-		s.qresp[i] = append(s.qresp[i][:0], 5)
-		s.lats[i] = svm.Lattice{NAX: 7, NAY: 7, NBX: 9, NBY: 9, StepX: 1, StepY: 1, BlockStride: 1}
+		s.lats[i] = live
 		s.nax[i] = 7
 	}
+	grid := s.grids[4]
 	s.setLevels(2)
 	for i := 2; i < 5; i++ {
-		if len(s.resp[i]) != 0 || len(s.qgrids[i]) != 0 || len(s.qresp[i]) != 0 {
-			t.Fatalf("level %d kept stale planes after shrink (resp %d, qgrids %d, qresp %d)",
-				i, len(s.resp[i]), len(s.qgrids[i]), len(s.qresp[i]))
-		}
 		if s.lats[i] != (svm.Lattice{}) || s.nax[i] != 0 {
 			t.Fatalf("level %d kept stale lattice %+v / nax %d after shrink", i, s.lats[i], s.nax[i])
 		}
 	}
 	for i := 0; i < 2; i++ {
-		if len(s.resp[i]) != 3 || s.nax[i] != 7 {
+		if s.lats[i] != live || s.nax[i] != 7 {
 			t.Fatalf("level %d lost live state on shrink", i)
 		}
 	}
-	if cap(s.resp[4]) == 0 {
-		t.Fatal("shrink freed a reusable buffer instead of truncating it")
+	if s.grids[4] != grid {
+		t.Fatal("shrink freed a reusable buffer instead of keeping it")
 	}
 }
 
 // TestShrinkThenRescan drives the shrink seams end to end: a large
 // scan grows the pooled arenas, then a smaller frame must still score
-// byte-identically to the descriptor oracle on every scoring path —
-// any stale plane or lattice surviving the shrink shows up here as a
-// phantom or missing detection.
+// byte-identically to the descriptor oracle, with and without a
+// temporal cache — any stale grid or lattice surviving the shrink
+// shows up here as a phantom or missing detection.
 func TestShrinkThenRescan(t *testing.T) {
 	det := NewDayDuskDetector(trainSmall(t, synth.DayDataset(820, 64, 64, 40, 40)))
 	det.DetectThresh = -0.25
@@ -305,8 +320,7 @@ func TestShrinkThenRescan(t *testing.T) {
 		set  func(d *DayDuskDetector)
 	}{
 		{"early", func(d *DayDuskDetector) {}},
-		{"full", func(d *DayDuskDetector) { d.NoEarlyReject = true }},
-		{"quantized", func(d *DayDuskDetector) { d.Quantized = true }},
+		{"temporal", func(d *DayDuskDetector) { d.Temporal = NewTemporalCache() }},
 	} {
 		t.Run(v.name, func(t *testing.T) {
 			d := *det

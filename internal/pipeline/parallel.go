@@ -4,7 +4,6 @@ import (
 	"context"
 	"time"
 
-	"advdet/internal/fixed"
 	"advdet/internal/haar"
 	"advdet/internal/hog"
 	"advdet/internal/img"
@@ -26,24 +25,13 @@ import (
 // normalized exactly once into a hog.BlockGrid and windows are scored
 // against the svm.BlockModel — the software rendition of the PL
 // datapath, whose HOG memories are written once per frame and only
-// read by the window evaluators. Within the fast path three scoring
-// strategies exist:
-//
-//   - early reject (default): each window's block partials are
-//     accumulated in descending weight-mass order and the window is
-//     abandoned as soon as the remaining blocks provably cannot lift
-//     the margin above the threshold. Surviving windows re-sum their
-//     stashed partials in canonical order, so reported margins are
-//     bitwise identical to the full evaluation.
-//   - full margin (NoEarlyReject): the PR5 plane path — per-anchor
-//     partial responses precomputed by svm.BlockModel.Responses,
-//     windows summed from the plane.
-//   - quantized (Quantized): blocks quantized to Q1.14 int16,
-//     margins accumulated in the integer datapath of the PL
-//     (svm.QuantBlockModel). Decisions outside the analytic error
-//     band are final; borderline windows re-score through the float
-//     path, so the detection box set is identical to the float scan
-//     and scores diverge by at most QuantBlockModel.ErrBound.
+// read by the window evaluators. The fast path scores with early
+// reject: each window's block partials are accumulated in descending
+// weight-mass order and the window is abandoned as soon as the
+// remaining blocks provably cannot lift the margin above the
+// threshold. Surviving windows re-sum their stashed partials in
+// canonical order, so reported margins are bitwise identical to the
+// full svm.BlockModel.WindowMargin evaluation.
 //
 // Unaligned strides keep the descriptor path with its per-window
 // Cfg.Extract crop fallback.
@@ -59,20 +47,12 @@ type hogScan struct {
 	// block-response engine is on by default; benchmarks and
 	// equivalence tests use this to compare the two.
 	NoBlockResponse bool
-	// NoEarlyReject disables the partial-margin early exit and scores
-	// every window from a precomputed response plane (the PR5
-	// behaviour). Equivalence tests pin the two paths byte-identical.
-	NoEarlyReject bool
-	// Quantized scores windows in the int16/int32 fixed-point datapath
-	// with float fallback for borderline margins. Ignored (with float
-	// fallback) when the model's weights exceed the quantizer's range.
-	Quantized bool
 	// Prefilter, when non-nil and trained at exactly (WinW, WinH),
 	// integral-image-rejects windows before any block scoring. A
 	// cascade trained at a different window geometry is ignored: its
 	// scores would be evaluated over the wrong pixels.
 	Prefilter *haar.Cascade
-	// Temporal, when non-nil, carries the feature/block/response stack
+	// Temporal, when non-nil, carries the feature/block stack
 	// across frames and recomputes only what the frame's dirty tiles
 	// invalidate. Output stays byte-identical to a cold scan; the cache
 	// serves one frame sequence and must not be shared across
@@ -94,16 +74,15 @@ type rowScratch struct {
 // ScanTimings breaks one multi-scale scan into its wall-clock stages,
 // mirroring the paper's Fig. 2 datapath: pyramid resize, gradient +
 // cell-histogram feature maps, haar prefilter integrals, block
-// normalization, per-anchor SVM partial responses (or block
-// quantization), and the window scoring sweep. Detectors fill it via
-// DetectTimedCtx so the telemetry layer can attribute the
-// vehicle-scan budget to sub-stages.
+// normalization, lattice setup, and the window scoring sweep.
+// Detectors fill it via DetectTimedCtx so the telemetry layer can
+// attribute the vehicle-scan budget to sub-stages.
 type ScanTimings struct {
 	Resize    time.Duration // pyramid level resizing
 	Feature   time.Duration // gradient + cell-histogram feature maps
 	Prefilter time.Duration // haar prefilter integral images
 	Blocks    time.Duration // block L2Hys normalization (block grids)
-	Response  time.Duration // per-anchor SVM responses / quantization
+	Response  time.Duration // per-level anchor lattice setup and validation
 	Windows   time.Duration // window scoring + detection assembly
 	Temporal  time.Duration // tile fingerprinting + dirty-mask dilation
 	// TileHits/TileMisses/TileRefreshes are the temporal cache's tile
@@ -114,8 +93,6 @@ type ScanTimings struct {
 	TileRefreshes int
 	// BlockPath reports whether the block-response fast path ran.
 	BlockPath bool
-	// Quantized reports whether the fixed-point scoring path ran.
-	Quantized bool
 	// TemporalPath reports whether a temporal cache served the scan.
 	TemporalPath bool
 }
@@ -145,7 +122,7 @@ func (s hogScan) runTimed(ctx context.Context, g *img.Gray, workers int, tm *Sca
 	tc := s.Temporal
 	if tc != nil {
 		// An abandoned scan (cancellation, validation failure) leaves
-		// cached planes out of step with the already-updated tile
+		// cached grids out of step with the already-updated tile
 		// fingerprints; the next frame must scan cold rather than trust
 		// them.
 		defer func() {
@@ -183,17 +160,15 @@ func (s hogScan) runTimed(ctx context.Context, g *img.Gray, workers int, tm *Sca
 	// scratch borrow can overwrite state that must survive the frame
 	// boundary. These views are what both stages read and write.
 	maps, grids := sc.maps, sc.grids
-	resp, qgrids, qresp := sc.resp, sc.qgrids, sc.qresp
 	if tc != nil {
 		tc.begin(temporalSig{
 			model: s.Model, cfg: s.Cfg,
 			winW: s.WinW, winH: s.WinH, stride: s.Stride,
 			scale: s.Scale, thresh: s.Thresh,
-			noBlock: s.NoBlockResponse, noEarly: s.NoEarlyReject, quant: s.Quantized,
-			pref: s.Prefilter, w: g.W, h: g.H,
+			noBlock: s.NoBlockResponse,
+			pref:    s.Prefilter, w: g.W, h: g.H,
 		}, nl)
 		maps, grids = tc.maps, tc.grids
-		resp, qgrids, qresp = tc.resp, tc.qgrids, tc.qresp
 	}
 	first := 0
 	if nl > 0 && sizes[0][0] == g.W && sizes[0][1] == g.H {
@@ -219,12 +194,7 @@ func (s hogScan) runTimed(ctx context.Context, g *img.Gray, workers int, tm *Sca
 		sc.bm.Init(s.Model, bw, bh, blockLen) == nil
 	// An Init mismatch (model length vs window geometry) falls through
 	// to the descriptor path, where Model.Margin reports the wiring
-	// bug exactly as it always has. A quantizer Init failure (weights
-	// beyond the int16 range) silently keeps the float path: quantized
-	// scoring is an optimization, not a different contract.
-	useQuant := useBlocks && s.Quantized &&
-		sc.qbm.Init(s.Model, bw, bh, blockLen, s.Thresh) == nil
-	useEarly := !s.NoEarlyReject
+	// bug exactly as it always has.
 	usePref := false
 	if s.Prefilter != nil {
 		pw, ph := s.Prefilter.Window()
@@ -233,8 +203,7 @@ func (s hogScan) runTimed(ctx context.Context, g *img.Gray, workers int, tm *Sca
 
 	// Stage 2: per level, one shared feature cache (row-parallel); on
 	// the fast path also the normalized block grid, computed once per
-	// frame instead of once per window, plus whichever response
-	// representation the scoring strategy needs.
+	// frame instead of once per window, and its anchor lattice.
 	for i := 0; i < nl; i++ {
 		level := sc.levels[i]
 		fm := maps[i]
@@ -261,15 +230,9 @@ func (s hogScan) runTimed(ctx context.Context, g *img.Gray, workers int, tm *Sca
 			}
 		}
 		lap(&t.Feature)
-		// Reset the level's scan state first: a level that skips the
-		// fast path below must never be read through a previous frame's
-		// plane or lattice. Cache-owned planes persist by design — their
-		// validity is keyed by the signature and the tile fingerprints.
-		if tc == nil {
-			resp[i] = resp[i][:0]
-			qgrids[i] = qgrids[i][:0]
-			qresp[i] = qresp[i][:0]
-		}
+		// Reset the level's lattice first: a level that skips the fast
+		// path below must never be read through a previous frame's
+		// lattice.
 		sc.lats[i] = svm.Lattice{}
 		sc.nax[i] = 0
 		if usePref && level.W >= s.WinW && level.H >= s.WinH {
@@ -285,14 +248,13 @@ func (s hogScan) runTimed(ctx context.Context, g *img.Gray, workers int, tm *Sca
 			continue
 		}
 		bg := grids[i]
-		dirtyBlocks := 0
 		switch mode {
 		case tcClean:
 			// Cached grid current; nothing to normalize.
 		case tcPartial:
 			cw, ch := s.Cfg.CellsFor(level.W, level.H)
 			pnbx, pnby := bg.Dims()
-			dirtyBlocks = tc.dirtyBlocks(s.Cfg, cw, ch, pnbx, pnby)
+			tc.dirtyBlocks(s.Cfg, cw, ch, pnbx, pnby)
 			if err := bg.ComputeDirtyCtx(ctx, fm, workers, tc.blockMask[:pnbx*pnby]); err != nil {
 				return nil, err
 			}
@@ -312,57 +274,9 @@ func (s hogScan) runTimed(ctx context.Context, g *img.Gray, workers int, tm *Sca
 		if err := sc.bm.CheckLattice(lat, len(bg.Data())); err != nil {
 			return nil, err
 		}
-		switch {
-		case useQuant:
-			// A cached quantized plane whose length disagrees with the
-			// grid (first quantized frame after a regrow) is re-derived
-			// in full; quantization is elementwise, so a per-block
-			// requantize is bitwise the full pass.
-			fullQuant := mode == tcFull || len(qgrids[i]) != len(bg.Data())
-			switch {
-			case fullQuant:
-				qgrids[i] = fixed.QuantizeQ14(qgrids[i], bg.Data())
-			case mode == tcPartial && dirtyBlocks > 0:
-				requantDirtyBlocks(qgrids[i], bg.Data(), blockLen, tc.blockMask[:nbx*nby])
-			}
-			if err := sc.qbm.CheckLattice(lat, len(qgrids[i])); err != nil {
-				return nil, err
-			}
-			if !useEarly {
-				need := nax * nay * bw * bh
-				fullResp := fullQuant || len(qresp[i]) != need
-				qresp[i] = growI32(qresp[i], need) // lint:alloc grows to the largest level once
-				switch {
-				case fullResp:
-					if err := sc.qbm.Responses(ctx, workers, qgrids[i], lat, qresp[i]); err != nil {
-						return nil, err
-					}
-				case mode == tcPartial && dirtyBlocks > 0:
-					tc.dirtyAnchors(lat, bw, bh)
-					if err := sc.qbm.ResponsesDirty(ctx, workers, qgrids[i], lat, qresp[i], tc.anchMask[:nax*nay]); err != nil {
-						return nil, err
-					}
-				}
-			}
-		case !useEarly:
-			need := nax * nay * bw * bh
-			fullResp := mode == tcFull || len(resp[i]) != need
-			resp[i] = growF64(resp[i], need) // lint:alloc grows to the largest level once
-			switch {
-			case fullResp:
-				if err := sc.bm.Responses(ctx, workers, bg.Data(), lat, resp[i]); err != nil {
-					return nil, err
-				}
-			case mode == tcPartial && dirtyBlocks > 0:
-				tc.dirtyAnchors(lat, bw, bh)
-				if err := sc.bm.ResponsesDirty(ctx, workers, bg.Data(), lat, resp[i], tc.anchMask[:nax*nay]); err != nil {
-					return nil, err
-				}
-			}
-		}
-		// With the early exit, margins are computed on demand in stage
-		// 3 straight from the block grid: precomputing every anchor's
-		// partials would spend the work the exit exists to skip.
+		// Margins are computed on demand in stage 3 straight from the
+		// block grid: precomputing every anchor's partials would spend
+		// the work the early exit exists to skip.
 		sc.lats[i] = lat
 		sc.nax[i] = nax
 		lap(&t.Response)
@@ -431,16 +345,13 @@ func (s hogScan) runTimed(ctx context.Context, g *img.Gray, workers int, tm *Sca
 				ay := rt.y / s.Stride
 				lat := sc.lats[rt.level]
 				blocks := grids[rt.level].Data()
-				emit := func(ax int, m float64) {
-					dets = append(dets, Detection{Box: box(ax * s.Stride), Score: m, Kind: s.Kind}) // lint:alloc detections are rare post-threshold events; no useful pre-size exists
-				}
 				// Per-window reuse inside a partially dirty level: a
 				// window whose cell rectangle (block span and pixel
 				// span, whichever is larger) the prefix proves clean
 				// kept its inputs, so last frame's verdict stands and
 				// its cached detection — if it had one — is copied
 				// instead of rescoring. Windows in the dirty region
-				// fall through to the scoring branches below.
+				// fall through to the early-reject scoring below.
 				rowPartial := serveRows && tc.mode[rt.level] == tcPartial
 				var cached []Detection
 				cj := 0
@@ -477,71 +388,21 @@ func (s hogScan) runTimed(ctx context.Context, g *img.Gray, workers int, tm *Sca
 					}
 					return true
 				}
-				switch {
-				case len(qresp[rt.level]) > 0:
-					// Quantized plane: integer decisions, borderline
-					// margins resolved by the float oracle.
-					qresp := qresp[rt.level]
-					for ax := 0; ax < nax; ax++ {
-						if serve(ax) {
-							continue
-						}
-						if !pass(ax * s.Stride) {
-							continue
-						}
-						score, dec := sc.qbm.DecideAt(qresp, nax, ax, ay)
-						if m, ok := resolveQuant(&sc.bm, score, dec, blocks, lat, ax, ay, s.Thresh); ok {
-							emit(ax, m)
-						}
+				// Early reject: accumulate partials in descending
+				// weight-mass order, bail when the bound closes.
+				if cap(rs.partial) < bw*bh {
+					rs.partial = make([]float64, bw*bh) // lint:alloc once per worker per scan
+				}
+				for ax := 0; ax < nax; ax++ {
+					if serve(ax) {
+						continue
 					}
-				case len(qgrids[rt.level]) > 0:
-					// Quantized on-demand with integer early exit.
-					qblocks := qgrids[rt.level]
-					for ax := 0; ax < nax; ax++ {
-						if serve(ax) {
-							continue
-						}
-						if !pass(ax * s.Stride) {
-							continue
-						}
-						score, dec := sc.qbm.ScoreAt(qblocks, lat, ax, ay, true)
-						if m, ok := resolveQuant(&sc.bm, score, dec, blocks, lat, ax, ay, s.Thresh); ok {
-							emit(ax, m)
-						}
+					if !pass(ax * s.Stride) {
+						continue
 					}
-				case len(resp[rt.level]) > 0:
-					// Full-margin plane (NoEarlyReject): a window's
-					// margin is the bias plus its contiguous cached
-					// partials.
-					resp := resp[rt.level]
-					for ax := 0; ax < nax; ax++ {
-						if serve(ax) {
-							continue
-						}
-						if !pass(ax * s.Stride) {
-							continue
-						}
-						if m := sc.bm.MarginAt(resp, nax, ax, ay); m > s.Thresh {
-							emit(ax, m)
-						}
-					}
-				default:
-					// Early reject: accumulate partials in descending
-					// weight-mass order, bail when the bound closes.
-					if cap(rs.partial) < bw*bh {
-						rs.partial = make([]float64, bw*bh) // lint:alloc once per worker per scan
-					}
-					for ax := 0; ax < nax; ax++ {
-						if serve(ax) {
-							continue
-						}
-						if !pass(ax * s.Stride) {
-							continue
-						}
-						m, rejected := sc.bm.EarlyMarginAt(blocks, lat, ax, ay, s.Thresh, rs.partial[:bw*bh])
-						if !rejected && m > s.Thresh {
-							emit(ax, m)
-						}
+					m, rejected := sc.bm.EarlyMarginAt(blocks, lat, ax, ay, s.Thresh, rs.partial[:bw*bh])
+					if !rejected && m > s.Thresh {
+						dets = append(dets, Detection{Box: box(ax * s.Stride), Score: m, Kind: s.Kind}) // lint:alloc detections are rare post-threshold events; no useful pre-size exists
 					}
 				}
 			} else {
@@ -583,7 +444,6 @@ func (s hogScan) runTimed(ctx context.Context, g *img.Gray, workers int, tm *Sca
 	lap(&t.Windows)
 	if timed {
 		t.BlockPath = useBlocks
-		t.Quantized = useQuant
 		if tc != nil {
 			t.TemporalPath = true
 			fs := tc.FrameStats()
@@ -592,25 +452,4 @@ func (s hogScan) runTimed(ctx context.Context, g *img.Gray, workers int, tm *Sca
 		*tm = t
 	}
 	return all, nil
-}
-
-// resolveQuant turns a quantized decision into the float-path verdict
-// for one window: accepts and rejects outside the guard band are
-// final (the analytic error bound proves the float margin lands on
-// the same side of the threshold), and borderline margins re-score
-// through the float block model — which is why the quantized scan's
-// box set is structurally identical to the float scan's.
-//
-// lint:hotpath
-func resolveQuant(bm *svm.BlockModel, score float64, dec svm.QuantDecision,
-	blocks []float64, lat svm.Lattice, ax, ay int, thresh float64) (float64, bool) {
-	switch dec {
-	case svm.QuantAccept:
-		return score, true
-	case svm.QuantBorderline:
-		m := bm.WindowMargin(blocks, lat, ax, ay)
-		return m, m > thresh
-	default:
-		return 0, false
-	}
 }

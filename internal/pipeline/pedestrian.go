@@ -33,17 +33,11 @@ type PedestrianDetector struct {
 	// NoBlockResponse disables the block-response scoring engine
 	// (see DayDuskDetector.NoBlockResponse).
 	NoBlockResponse bool
-	// NoEarlyReject disables the partial-margin early exit
-	// (see DayDuskDetector.NoEarlyReject).
-	NoEarlyReject bool
-	// Quantized scores windows in the fixed-point datapath
-	// (see DayDuskDetector.Quantized).
-	Quantized bool
 	// Prefilter integral-image-rejects scan windows before HOG scoring
 	// when trained at this detector's window geometry
 	// (see DayDuskDetector.Prefilter).
 	Prefilter *haar.Cascade
-	// Temporal reuses the feature/block/response stack across frames
+	// Temporal reuses the feature/block stack across frames
 	// (see DayDuskDetector.Temporal).
 	Temporal *TemporalCache
 }
@@ -78,7 +72,7 @@ func (d *PedestrianDetector) Detect(g *img.Gray) []Detection {
 }
 
 // DetectCtx is Detect with cancellation and a bounded worker pool
-// sharing one per-level feature cache (workers <= 0 means NumCPU).
+// sharing one per-level feature cache (workers <= 0 means GOMAXPROCS).
 // Output is identical for every worker count.
 func (d *PedestrianDetector) DetectCtx(ctx context.Context, g *img.Gray, workers int) ([]Detection, error) {
 	return d.DetectTimedCtx(ctx, g, workers, nil)
@@ -92,7 +86,6 @@ func (d *PedestrianDetector) DetectTimedCtx(ctx context.Context, g *img.Gray, wo
 		WinW: PedWindowW, WinH: PedWindowH,
 		Stride: d.Stride, Scale: d.Scale, Thresh: d.DetectThresh,
 		Kind: KindPedestrian, NoBlockResponse: d.NoBlockResponse,
-		NoEarlyReject: d.NoEarlyReject, Quantized: d.Quantized,
 		Prefilter: d.Prefilter, Temporal: d.Temporal,
 	}
 	dets, err := scan.runTimed(ctx, g, workers, tm)

@@ -10,10 +10,10 @@ import (
 )
 
 // scanScratch owns every reusable buffer of one hogScan.run
-// invocation: pyramid levels, per-level feature maps and block grids,
-// response planes (float and quantized), prefilter integrals, and the
-// task/result arenas. A scratch is borrowed from a process-wide pool
-// for the duration of one scan and returned afterwards, so the
+// invocation: pyramid levels, per-level feature maps, block grids,
+// anchor lattices and prefilter integrals, and the task/result
+// arenas. A scratch is borrowed from a process-wide pool for the
+// duration of one scan and returned afterwards, so the
 // steady-state frame loop recomputes everything per frame but
 // allocates (almost) nothing — the software equivalent of the PL's
 // statically provisioned HOG/Normalized-HOG memories, which are
@@ -28,10 +28,6 @@ type scanScratch struct {
 	its     []*haar.Integral
 	hs      hog.Scratch
 	bm      svm.BlockModel
-	qbm     svm.QuantBlockModel
-	resp    [][]float64   // per-level float response planes; len 0 = not precomputed
-	qgrids  [][]int16     // per-level quantized block planes; len 0 = float path
-	qresp   [][]int32     // per-level quantized response planes; len 0 = on-demand
 	lats    []svm.Lattice // per-level anchor lattices (valid when nax > 0)
 	nax     []int         // per-level anchor-lattice width; 0 = descriptor path
 	tasks   []rowTask
@@ -75,11 +71,10 @@ func releaseScanScratch(s *scanScratch) {
 // existing entries (and their buffers) for reuse, and invalidates the
 // per-level scan state of every entry beyond n. A pyramid that
 // shrinks between borrows (smaller frame, larger MinSize) leaves
-// entries [n, high-water) holding the previous scan's response planes
-// and lattices; nothing re-derives them, so any later read of an
-// entry the current scan didn't fill must see "no data" rather than a
-// stale plane. Buffers are kept (truncated, not freed) so a regrow
-// reuses them.
+// entries [n, high-water) holding the previous scan's lattices;
+// nothing re-derives them, so any later read of an entry the current
+// scan didn't fill must see "no data" rather than a stale lattice.
+// Buffers are kept so a regrow reuses them.
 func (s *scanScratch) setLevels(n int) {
 	for len(s.levels) < n {
 		s.levels = append(s.levels, nil)
@@ -93,15 +88,6 @@ func (s *scanScratch) setLevels(n int) {
 	for len(s.its) < n {
 		s.its = append(s.its, new(haar.Integral))
 	}
-	for len(s.resp) < n {
-		s.resp = append(s.resp, nil)
-	}
-	for len(s.qgrids) < n {
-		s.qgrids = append(s.qgrids, nil)
-	}
-	for len(s.qresp) < n {
-		s.qresp = append(s.qresp, nil)
-	}
 	for len(s.lats) < n {
 		s.lats = append(s.lats, svm.Lattice{})
 	}
@@ -109,9 +95,6 @@ func (s *scanScratch) setLevels(n int) {
 		s.nax = append(s.nax, 0)
 	}
 	for i := n; i < len(s.nax); i++ {
-		s.resp[i] = s.resp[i][:0]
-		s.qgrids[i] = s.qgrids[i][:0]
-		s.qresp[i] = s.qresp[i][:0]
 		s.lats[i] = svm.Lattice{}
 		s.nax[i] = 0
 	}
@@ -132,24 +115,8 @@ func (s *scanScratch) setTasks(n int) ([]rowTask, [][]Detection) {
 	return s.tasks, s.results
 }
 
-// growF64 returns buf resized to n floats, reusing its backing array
+// growI32 returns buf resized to n entries, reusing its backing array
 // when possible. Contents are unspecified; callers overwrite fully.
-func growF64(buf []float64, n int) []float64 {
-	if cap(buf) < n {
-		return make([]float64, n)
-	}
-	return buf[:n]
-}
-
-// growI16 is growF64 for int16 planes.
-func growI16(buf []int16, n int) []int16 {
-	if cap(buf) < n {
-		return make([]int16, n)
-	}
-	return buf[:n]
-}
-
-// growI32 is growF64 for int32 planes.
 func growI32(buf []int32, n int) []int32 {
 	if cap(buf) < n {
 		return make([]int32, n)

@@ -1,28 +1,27 @@
 package pipeline
 
 import (
-	"advdet/internal/fixed"
 	"advdet/internal/haar"
 	"advdet/internal/hog"
 	"advdet/internal/img"
 	"advdet/internal/svm"
 )
 
-// TemporalCache carries one detector's feature/block/response stack
-// across frames so a scan only recomputes what the camera changed.
-// Each pyramid level is split into cell-aligned tiles (hog.TileMap),
+// TemporalCache carries one detector's feature/block stack across
+// frames so a scan only recomputes what the camera changed. Each
+// pyramid level is split into cell-aligned tiles (hog.TileMap),
 // fingerprinted per frame, and the dirty tiles are dilated outward —
-// one-cell halo to cells, block span to blocks, window span to anchors
-// — so every refreshed value sees exactly the inputs a cold scan would
-// read, making cached output byte-identical to a full recompute (up to
-// 64-bit fingerprint collisions; see hog.TileMap). The full-rescan
-// path is always kept: any configuration or geometry change falls back
-// to a cold scan of the affected state.
+// one-cell halo to cells, block span to blocks, window span to window
+// rows — so every refreshed value sees exactly the inputs a cold scan
+// would read, making cached output byte-identical to a full recompute
+// (up to 64-bit fingerprint collisions; see hog.TileMap). The
+// full-rescan path is always kept: any configuration or geometry
+// change falls back to a cold scan of the affected state.
 //
 // Where scanScratch is borrowed from a process-wide pool per scan, a
 // TemporalCache is owned: it persists one stream's per-level feature
-// maps, block grids and response planes between frames and must never
-// be shared — by two detectors, or by two streams — because its
+// maps, block grids and window-row detections between frames and must
+// never be shared — by two detectors, or by two streams — because its
 // contents are keyed to one frame sequence. The zero value is not
 // ready; use NewTemporalCache. Not safe for concurrent use.
 type TemporalCache struct {
@@ -32,18 +31,13 @@ type TemporalCache struct {
 
 	// Per-level cached state, owned here (never pooled) so no later
 	// scratch borrow can scribble over it.
-	tiles  []*hog.TileMap
-	maps   []*hog.FeatureMap
-	grids  []*hog.BlockGrid
-	resp   [][]float64
-	qgrids [][]int16
-	qresp  [][]int32
+	tiles []*hog.TileMap
+	maps  []*hog.FeatureMap
+	grids []*hog.BlockGrid
 
 	// Transient per-level dirty masks, reused across levels and frames.
 	cellMask  []bool
 	blockMask []bool
-	anchMask  []bool
-	prefix    []int32 // integral image over blockMask for anchor queries
 
 	// Per-level refresh bookkeeping for the window reuse pass: mode is
 	// this frame's refresh mode per level; for tcPartial levels
@@ -99,8 +93,7 @@ type temporalSig struct {
 	cfg                hog.Config
 	winW, winH, stride int
 	scale, thresh      float64
-	noBlock, noEarly   bool
-	quant              bool
+	noBlock            bool
 	pref               *haar.Cascade
 	w, h               int
 }
@@ -108,7 +101,7 @@ type temporalSig struct {
 // Per-level refresh modes derived from the tile fingerprints.
 const (
 	tcFull    = iota // recompute the level's whole stack
-	tcPartial        // refresh only dirty cells/blocks/anchors
+	tcPartial        // refresh only dirty cells/blocks/windows
 	tcClean          // reuse everything; nothing changed
 )
 
@@ -124,7 +117,7 @@ func (tc *TemporalCache) Stats() TemporalStats { return tc.stats }
 // FrameStats returns the tile accounting of the most recent scan.
 func (tc *TemporalCache) FrameStats() TemporalStats { return tc.frame }
 
-// Invalidate discards every fingerprint and cached plane: the next
+// Invalidate discards every fingerprint and cached grid: the next
 // scan is cold. Callers invalidate on reconfiguration and on any
 // out-of-band reason to distrust cross-frame continuity; configuration
 // and geometry changes are detected automatically.
@@ -137,7 +130,7 @@ func (tc *TemporalCache) Invalidate() {
 // sized for nl levels with entries beyond nl invalidated — the same
 // stale-state discipline as scanScratch.setLevels, because a pyramid
 // that shrinks and regrows must not resurrect another geometry's
-// planes.
+// fingerprints.
 func (tc *TemporalCache) begin(sig temporalSig, nl int) {
 	if !tc.valid || sig != tc.sig {
 		tc.sig = sig
@@ -145,18 +138,12 @@ func (tc *TemporalCache) begin(sig temporalSig, nl int) {
 		tc.rowsValid = false
 		for i := range tc.tiles {
 			tc.tiles[i].Invalidate()
-			tc.resp[i] = tc.resp[i][:0]
-			tc.qgrids[i] = tc.qgrids[i][:0]
-			tc.qresp[i] = tc.qresp[i][:0]
 		}
 	}
 	for len(tc.tiles) < nl {
 		tc.tiles = append(tc.tiles, hog.NewTileMap(tc.tile))
 		tc.maps = append(tc.maps, new(hog.FeatureMap))
 		tc.grids = append(tc.grids, new(hog.BlockGrid))
-		tc.resp = append(tc.resp, nil)
-		tc.qgrids = append(tc.qgrids, nil)
-		tc.qresp = append(tc.qresp, nil)
 		tc.mode = append(tc.mode, tcFull)
 		tc.cw = append(tc.cw, 0)
 		tc.ch = append(tc.ch, 0)
@@ -164,9 +151,6 @@ func (tc *TemporalCache) begin(sig temporalSig, nl int) {
 	}
 	for i := nl; i < len(tc.tiles); i++ {
 		tc.tiles[i].Invalidate()
-		tc.resp[i] = tc.resp[i][:0]
-		tc.qgrids[i] = tc.qgrids[i][:0]
-		tc.qresp[i] = tc.qresp[i][:0]
 	}
 	for i := 0; i < nl; i++ {
 		tc.mode[i] = tcFull
@@ -266,58 +250,10 @@ func (tc *TemporalCache) observeTiles(i int, level *img.Gray, c hog.Config) int 
 }
 
 // dirtyBlocks dilates the current cell mask to the level's block mask,
-// left in tc.blockMask[:nbx*nby]; returns the dirty-block count.
-func (tc *TemporalCache) dirtyBlocks(c hog.Config, cw, ch, nbx, nby int) int {
+// left in tc.blockMask[:nbx*nby].
+func (tc *TemporalCache) dirtyBlocks(c hog.Config, cw, ch, nbx, nby int) {
 	tc.blockMask = growBool(tc.blockMask, nbx*nby)
-	return hog.DilateCellsToBlocks(c, tc.cellMask[:cw*ch], cw, nbx, nby, tc.blockMask[:nbx*nby])
-}
-
-// dirtyAnchors dilates the current block mask to the lattice's anchor
-// mask, left in tc.anchMask[:NAX*NAY]: an anchor is dirty when the
-// block rectangle its window spans contains any dirty block (a
-// conservative rectangle for strided block layouts). Answered with an
-// integral image over the block mask so the pass is linear in anchors.
-func (tc *TemporalCache) dirtyAnchors(lat svm.Lattice, bw, bh int) int {
-	nbx, nby := lat.NBX, lat.NBY
-	tc.prefix = growI32(tc.prefix, (nbx+1)*(nby+1))
-	p := tc.prefix[:(nbx+1)*(nby+1)]
-	for x := 0; x <= nbx; x++ {
-		p[x] = 0
-	}
-	for y := 0; y < nby; y++ {
-		rowSum := int32(0)
-		src := tc.blockMask[y*nbx : (y+1)*nbx]
-		dst := p[(y+1)*(nbx+1):]
-		prev := p[y*(nbx+1):]
-		dst[0] = 0
-		for x := 0; x < nbx; x++ {
-			if src[x] {
-				rowSum++
-			}
-			dst[x+1] = prev[x+1] + rowSum
-		}
-	}
-	spanX := (bw-1)*lat.BlockStride + 1
-	spanY := (bh-1)*lat.BlockStride + 1
-	tc.anchMask = growBool(tc.anchMask, lat.NAX*lat.NAY)
-	n := 0
-	for ay := 0; ay < lat.NAY; ay++ {
-		y0 := ay * lat.StepY
-		y1 := y0 + spanY
-		row := tc.anchMask[ay*lat.NAX : (ay+1)*lat.NAX]
-		top := p[y0*(nbx+1):]
-		bot := p[y1*(nbx+1):]
-		for ax := 0; ax < lat.NAX; ax++ {
-			x0 := ax * lat.StepX
-			x1 := x0 + spanX
-			d := bot[x1]-bot[x0]-top[x1]+top[x0] > 0
-			row[ax] = d
-			if d {
-				n++
-			}
-		}
-	}
-	return n
+	hog.DilateCellsToBlocks(c, tc.cellMask[:cw*ch], cw, nbx, nby, tc.blockMask[:nbx*nby])
 }
 
 // rowServable reports whether one window row's cached detections are
@@ -361,21 +297,6 @@ func (tc *TemporalCache) storeRows(results [][]Detection) {
 	tc.rowDets = tc.rowDets[:len(results)]
 	copy(tc.rowDets, results)
 	tc.rowsValid = true
-}
-
-// requantDirtyBlocks requantizes only the dirty blocks' Q1.14 spans
-// in place. QuantizeQ14 is elementwise, so the per-block pass is
-// bitwise identical to requantizing the whole plane.
-//
-// lint:hotpath
-func requantDirtyBlocks(q []int16, data []float64, blockLen int, dirty []bool) {
-	for b, d := range dirty {
-		if !d {
-			continue
-		}
-		off := b * blockLen
-		fixed.QuantizeQ14(q[off:off+blockLen:off+blockLen], data[off:off+blockLen])
-	}
 }
 
 // growBool returns buf resized to n entries, reusing its backing

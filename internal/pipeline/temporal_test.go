@@ -9,16 +9,13 @@ import (
 	"advdet/internal/synth"
 )
 
-// tcScanKinds are the four scoring strategies the temporal cache must
+// tcScanKinds are the two scoring paths the temporal cache must
 // compose with, byte for byte.
 var tcScanKinds = []struct {
 	name string
 	set  func(d *DayDuskDetector)
 }{
 	{"early", func(d *DayDuskDetector) {}},
-	{"full-margin", func(d *DayDuskDetector) { d.NoEarlyReject = true }},
-	{"quantized", func(d *DayDuskDetector) { d.Quantized = true }},
-	{"quantized-plane", func(d *DayDuskDetector) { d.Quantized = true; d.NoEarlyReject = true }},
 	{"descriptor", func(d *DayDuskDetector) { d.NoBlockResponse = true }},
 }
 

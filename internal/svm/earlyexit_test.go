@@ -1,11 +1,8 @@
 package svm
 
 import (
-	"context"
 	"math"
 	"testing"
-
-	"advdet/internal/fixed"
 )
 
 // randLattice draws a random but consistent lattice geometry plus a
@@ -40,10 +37,9 @@ func randLattice(rng *splitmix64, bw, bh, blockLen int) (Lattice, []float64) {
 // exactness property over randomized models, lattices and thresholds:
 // a rejected window's true margin never exceeds the threshold, and a
 // surviving window's margin is bitwise identical to the full
-// WindowMargin (and to Responses + MarginAt).
+// WindowMargin.
 func TestEarlyMarginMatchesWindowMargin(t *testing.T) {
 	rng := splitmix64(77)
-	ctx := context.Background()
 	for trial := 0; trial < 60; trial++ {
 		bw := 1 + int(rng.next()%4)
 		bh := 1 + int(rng.next()%4)
@@ -55,12 +51,11 @@ func TestEarlyMarginMatchesWindowMargin(t *testing.T) {
 		}
 		lat, blocks := randLattice(&rng, bw, bh, blockLen)
 
-		resp := make([]float64, lat.NAX*lat.NAY*bw*bh)
-		if err := bm.Responses(ctx, 1, blocks, lat, resp); err != nil {
+		if err := bm.CheckLattice(lat, len(blocks)); err != nil {
 			t.Fatal(err)
 		}
 		// Threshold near a real margin so both branches are exercised.
-		thresh := bm.MarginAt(resp, lat.NAX,
+		thresh := bm.WindowMargin(blocks, lat,
 			int(rng.next()%uint64(lat.NAX)), int(rng.next()%uint64(lat.NAY))) +
 			0.2*rng.float()
 
@@ -68,9 +63,6 @@ func TestEarlyMarginMatchesWindowMargin(t *testing.T) {
 		for ay := 0; ay < lat.NAY; ay++ {
 			for ax := 0; ax < lat.NAX; ax++ {
 				full := bm.WindowMargin(blocks, lat, ax, ay)
-				if planed := bm.MarginAt(resp, lat.NAX, ax, ay); full != planed {
-					t.Fatalf("trial %d (%d,%d): WindowMargin %v != MarginAt %v", trial, ax, ay, full, planed)
-				}
 				em, rejected := bm.EarlyMarginAt(blocks, lat, ax, ay, thresh, partial)
 				if rejected {
 					if full > thresh {
@@ -85,94 +77,5 @@ func TestEarlyMarginMatchesWindowMargin(t *testing.T) {
 				}
 			}
 		}
-	}
-}
-
-// TestQuantDecisionsMatchFloat is the bounded-divergence property at
-// the svm layer: over randomized models, planes and thresholds, the
-// quantized decision — with borderline windows resolved by the float
-// oracle, exactly as the pipeline resolves them — must equal the
-// float decision for every window, early exit on or off, on-demand or
-// precomputed plane; and every accepted quantized score must sit
-// within ErrBound of the float margin.
-func TestQuantDecisionsMatchFloat(t *testing.T) {
-	rng := splitmix64(123)
-	ctx := context.Background()
-	borderlines, windows := 0, 0
-	for trial := 0; trial < 60; trial++ {
-		bw := 1 + int(rng.next()%4)
-		bh := 1 + int(rng.next()%4)
-		blockLen := 4 + int(rng.next()%21)
-		m := &Model{W: rng.fill(bw * bh * blockLen), Bias: rng.float()}
-		bm, err := NewBlockModel(m, bw, bh, blockLen)
-		if err != nil {
-			t.Fatal(err)
-		}
-		lat, blocks := randLattice(&rng, bw, bh, blockLen)
-		thresh := bm.WindowMargin(blocks, lat,
-			int(rng.next()%uint64(lat.NAX)), int(rng.next()%uint64(lat.NAY))) +
-			0.1*rng.float()
-
-		var qm QuantBlockModel
-		if err := qm.Init(m, bw, bh, blockLen, thresh); err != nil {
-			t.Fatal(err)
-		}
-		qblocks := fixed.QuantizeQ14(nil, blocks)
-		qresp := make([]int32, lat.NAX*lat.NAY*bw*bh)
-		if err := qm.Responses(ctx, 1, qblocks, lat, qresp); err != nil {
-			t.Fatal(err)
-		}
-
-		check := func(ax, ay int, score float64, dec QuantDecision, via string) {
-			t.Helper()
-			full := bm.WindowMargin(blocks, lat, ax, ay)
-			floatDetects := full > thresh
-			switch dec {
-			case QuantAccept:
-				if !floatDetects {
-					t.Fatalf("trial %d (%d,%d) %s: quant accepted but float margin %v <= thresh %v",
-						trial, ax, ay, via, full, thresh)
-				}
-				if d := math.Abs(score - full); d > qm.ErrBound() {
-					t.Fatalf("trial %d (%d,%d) %s: score divergence %v exceeds bound %v",
-						trial, ax, ay, via, d, qm.ErrBound())
-				}
-			case QuantReject:
-				if floatDetects {
-					t.Fatalf("trial %d (%d,%d) %s: quant rejected but float margin %v > thresh %v",
-						trial, ax, ay, via, full, thresh)
-				}
-			case QuantBorderline:
-				borderlines++ // resolved by the float oracle: agreement is structural
-			}
-		}
-
-		for ay := 0; ay < lat.NAY; ay++ {
-			for ax := 0; ax < lat.NAX; ax++ {
-				windows++
-				sEarly, dEarly := qm.ScoreAt(qblocks, lat, ax, ay, true)
-				sFull, dFull := qm.ScoreAt(qblocks, lat, ax, ay, false)
-				sPlane, dPlane := qm.DecideAt(qresp, lat.NAX, ax, ay)
-				check(ax, ay, sEarly, dEarly, "early")
-				check(ax, ay, sFull, dFull, "full")
-				check(ax, ay, sPlane, dPlane, "plane")
-				if dFull != dPlane || sFull != sPlane {
-					t.Fatalf("trial %d (%d,%d): on-demand (%v,%v) != plane (%v,%v)",
-						trial, ax, ay, sFull, dFull, sPlane, dPlane)
-				}
-				// Early exit may only turn non-rejects into nothing —
-				// never the other way around.
-				if dEarly != QuantReject && (dEarly != dFull || sEarly != sFull) {
-					t.Fatalf("trial %d (%d,%d): early (%v,%v) != full (%v,%v)",
-						trial, ax, ay, sEarly, dEarly, sFull, dFull)
-				}
-				if dEarly == QuantReject && dFull == QuantAccept {
-					t.Fatalf("trial %d (%d,%d): early bail dropped an accepted window", trial, ax, ay)
-				}
-			}
-		}
-	}
-	if borderlines*10 > windows {
-		t.Fatalf("guard band too wide: %d of %d windows borderline", borderlines, windows)
 	}
 }

@@ -30,7 +30,7 @@ func WithInitial(c Condition) Option {
 
 // WithParallelism bounds the detection worker pool — the software
 // model of the PL's replicated window-evaluation lanes. n <= 0 means
-// runtime.NumCPU(); 1 runs every scan on the calling goroutine.
+// runtime.GOMAXPROCS(0); 1 runs every scan on the calling goroutine.
 // Detection output is identical for every setting.
 func WithParallelism(n int) Option {
 	return func(o *SystemOptions) { o.Parallelism = n }
@@ -80,19 +80,8 @@ func WithRetryPolicy(rp RetryPolicy) Option {
 	return func(o *SystemOptions) { o.Retry = rp }
 }
 
-// WithQuantizedScan scores the HOG scans through the int16/int32
-// fixed-point block-response datapath — the software rendition of the
-// PL's DSP48 window evaluators. Detection boxes are identical to the
-// float scan (borderline margins re-score through the float path);
-// reported scores may differ by at most the quantizer's analytic
-// error bound. Models whose weights exceed the quantizer's range fall
-// back to the float path silently.
-func WithQuantizedScan() Option {
-	return func(o *SystemOptions) { o.ScanQuantized = true }
-}
-
-// WithTemporalCache reuses each HOG detector's feature, block and
-// response buffers across consecutive frames, fingerprinting the frame
+// WithTemporalCache reuses each HOG detector's feature and block
+// buffers across consecutive frames, fingerprinting the frame
 // in 64x64 tiles and recomputing only what each frame's changed tiles
 // invalidate — the software rendition of persistent BRAM line buffers
 // surviving between frames in the PL. Detection output is
@@ -102,14 +91,6 @@ func WithQuantizedScan() Option {
 // whenever a partial reconfiguration is requested.
 func WithTemporalCache() Option {
 	return func(o *SystemOptions) { o.ScanTemporalCache = true }
-}
-
-// WithoutEarlyReject disables the partial-margin early exit in the
-// HOG scans, scoring every window from the full precomputed response
-// plane. Detection output is identical either way; this exists for
-// benchmarking the cascade's saving and as a fallback switch.
-func WithoutEarlyReject() Option {
-	return func(o *SystemOptions) { o.ScanNoEarlyReject = true }
 }
 
 // WithEventSink subscribes a consumer to the system's unified typed

@@ -65,7 +65,7 @@ func WithStreamInitial(cond Condition) StreamOption {
 
 // WithStreamParallelism caps how many of the engine's shared scan
 // lanes one of this stream's frames may borrow (n <= 0 means up to
-// runtime.NumCPU()). Detection output is identical for every setting.
+// runtime.GOMAXPROCS(0)). Detection output is identical for every setting.
 func WithStreamParallelism(n int) StreamOption {
 	return func(c *streamConfig) { c.opt.Parallelism = n }
 }
@@ -107,24 +107,12 @@ func WithStreamRetryPolicy(rp RetryPolicy) StreamOption {
 	return func(c *streamConfig) { c.opt.Retry = rp }
 }
 
-// WithStreamQuantizedScan scores this stream's HOG scans through the
-// fixed-point block-response datapath (see WithQuantizedScan).
-func WithStreamQuantizedScan() StreamOption {
-	return func(c *streamConfig) { c.opt.ScanQuantized = true }
-}
-
-// WithStreamTemporalCache reuses this stream's feature/block/response
-// buffers across its consecutive frames (see WithTemporalCache). Each
+// WithStreamTemporalCache reuses this stream's feature/block buffers
+// across its consecutive frames (see WithTemporalCache). Each
 // stream gets its own caches, so the option is safe on engines whose
 // streams share one Detectors value.
 func WithStreamTemporalCache() StreamOption {
 	return func(c *streamConfig) { c.opt.ScanTemporalCache = true }
-}
-
-// WithStreamNoEarlyReject disables the partial-margin early exit for
-// this stream's HOG scans (see WithoutEarlyReject).
-func WithStreamNoEarlyReject() StreamOption {
-	return func(c *streamConfig) { c.opt.ScanNoEarlyReject = true }
 }
 
 // WithStreamEventSink subscribes a consumer to this stream's typed
@@ -195,7 +183,7 @@ func (s *Stream) Process(ctx context.Context, sc *Scene) (FrameResult, error) {
 	if err != nil {
 		return FrameResult{}, fmt.Errorf("advdet: stream %s: %w", s.name, err)
 	}
-	// Attribute the dispatcher trip (admission queue + batcher wait)
+	// Attribute the dispatcher trip (admission queue wait)
 	// to the stream's telemetry; nil-safe when metrics are off.
 	s.sys.Metrics().StageObserve(metrics.StageFleetDispatch, 0, uint64(tm.QueueWait()))
 	return res, ferr
