@@ -23,7 +23,7 @@
 //	if err != nil { ... }
 //	eng := advdet.NewEngine(dets)
 //	defer eng.Close()
-//	cam, err := eng.NewStream(advdet.WithStreamName("cam-front"), advdet.WithStreamFPS(50))
+//	cam, err := eng.NewStream(advdet.WithName("cam-front"), advdet.WithFPS(50))
 //	if err != nil { ... }
 //	scene := advdet.RenderScene(2, 640, 360, advdet.Dark)
 //	res, err := cam.Process(ctx, scene)
@@ -41,6 +41,10 @@
 //	sys, err := advdet.NewSystem(dets, advdet.WithFPS(50), advdet.WithParallelism(0))
 //	res, err := sys.ProcessFrame(scene)
 //
+// The same options configure all three constructors: given to
+// NewEngine they are the defaults for every stream, and NewStream's
+// own options override them.
+//
 // ProcessFrameCtx/RunScenarioCtx accept a context for cancellation
 // mid-frame; a deadline bounds the frame budget. Detection scans fan
 // out over a worker pool (WithParallelism) with output identical to
@@ -52,6 +56,7 @@
 package advdet
 
 import (
+	"fmt"
 	"io"
 	"time"
 
@@ -132,8 +137,8 @@ type (
 // The unified typed event stream: every frame verdict, model select,
 // reconfiguration outcome, fault and mode transition a System decides
 // or suffers, as one subscribable sum type. Attach consumers with
-// WithEventSink / WithStreamEventSink; the tamper-evident ledger
-// (WithLedger / WithStreamLedger) consumes the same stream.
+// WithEventSink; the tamper-evident ledger (WithLedger) consumes the
+// same stream.
 type (
 	// Event is one typed event: Kind selects the active payload, and
 	// every event carries its stream id, frame index and
@@ -202,8 +207,7 @@ func NewEventLog() *EventLog { return adaptive.NewEventLog() }
 
 // The tamper-evident detection ledger: an append-only, hash-chained
 // log of the event stream, batched into Merkle trees under one anchor
-// chain. See WithLedger, WithStreamLedger, Engine.Ledger and
-// cmd/ledgerverify.
+// chain. See WithLedger, Engine.Ledger and cmd/ledgerverify.
 type (
 	// Ledger is the append-only hash-chained event ledger.
 	Ledger = ledger.Ledger
@@ -285,9 +289,9 @@ func DefaultSystemOptions() SystemOptions { return adaptive.DefaultOptions() }
 
 // NewSystem boots a single-stream adaptive system with both partial
 // bitstreams staged in PL-side DDR. With no options it runs at the
-// paper's operating point (DefaultSystemOptions); pass functional
-// options to deviate, or WithOptions to install a hand-built
-// SystemOptions.
+// paper's operating point (DefaultSystemOptions); pass options to
+// deviate. WithName, WithFleetWorkers and WithQueueDepth are fleet
+// settings and fail here with ErrMisplacedOption.
 //
 // NewSystem is the single-stream convenience path: it builds a private
 // shared engine (detectors + scan-lane pool) for its one stream and
@@ -295,12 +299,12 @@ func DefaultSystemOptions() SystemOptions { return adaptive.DefaultOptions() }
 // streams over one set of trained models and one worker pool, use
 // NewEngine and Engine.NewStream instead.
 func NewSystem(dets Detectors, opts ...Option) (*System, error) {
-	opt := DefaultSystemOptions()
-	for _, o := range opts {
-		o(&opt)
+	cfg := resolve(scopeSystem, defaultConfig(), opts)
+	if cfg.err != nil {
+		return nil, fmt.Errorf("advdet: new system: %w", cfg.err)
 	}
-	eng := adaptive.NewEngine(dets, adaptive.EngineConfig{Parallelism: opt.Parallelism})
-	return eng.NewSystem(opt)
+	eng := adaptive.NewEngine(dets, adaptive.EngineConfig{Parallelism: cfg.opt.Parallelism})
+	return eng.NewSystem(cfg.opt)
 }
 
 // RenderScene renders one synthetic road scene of the given size and
@@ -343,31 +347,14 @@ type ReconfigResult struct {
 	Elapsed time.Duration
 }
 
-// ReconfigOption configures a ReconfigThroughputs measurement.
-type ReconfigOption func(*reconfigConfig)
-
-type reconfigConfig struct{ repeats int }
-
-// WithMeasureRepeats averages each controller's measurement over n
-// runs (each on a fresh platform). The model is deterministic today,
-// so repeats tighten nothing yet; the knob keeps the bench surface
-// stable for models with contention jitter.
-func WithMeasureRepeats(n int) ReconfigOption {
-	return func(c *reconfigConfig) { c.repeats = n }
-}
-
 // ReconfigThroughputs measures all four reconfiguration controllers
 // on a bitstream of the given size — the §IV-A comparison. Results
 // are ordered as pr.All() lists the controllers (slowest mechanism
 // first, the paper's DMA-ICAP last), so output is stable across runs.
-func ReconfigThroughputs(bytes int, opts ...ReconfigOption) ([]ReconfigResult, error) {
-	cfg := reconfigConfig{repeats: 1}
-	for _, o := range opts {
-		o(&cfg)
-	}
+func ReconfigThroughputs(bytes int) ([]ReconfigResult, error) {
 	out := make([]ReconfigResult, 0, 4)
 	for _, ctrl := range pr.All() {
-		res, err := pr.MeasureN(ctrl, bytes, cfg.repeats)
+		res, err := pr.Measure(ctrl, bytes)
 		if err != nil {
 			return nil, err
 		}

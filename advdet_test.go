@@ -102,23 +102,20 @@ func TestReconfigThroughputsAPI(t *testing.T) {
 }
 
 func TestReconfigThroughputsRepeats(t *testing.T) {
-	// The model is deterministic: a repeated measurement's mean equals
-	// the single run exactly.
+	// The model is deterministic: a repeated call measures every
+	// controller exactly as the first did.
 	one, err := ReconfigThroughputs(8_000_000)
 	if err != nil {
 		t.Fatal(err)
 	}
-	three, err := ReconfigThroughputs(8_000_000, WithMeasureRepeats(3))
+	again, err := ReconfigThroughputs(8_000_000)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for i := range one {
-		if one[i] != three[i] {
-			t.Fatalf("repeats changed a deterministic measurement: %+v != %+v", one[i], three[i])
+		if one[i] != again[i] {
+			t.Fatalf("repeated call changed a deterministic measurement: %+v != %+v", one[i], again[i])
 		}
-	}
-	if _, err := ReconfigThroughputs(8_000_000, WithMeasureRepeats(0)); err == nil {
-		t.Fatal("repeats=0 accepted")
 	}
 }
 

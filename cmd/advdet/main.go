@@ -97,24 +97,23 @@ func main() {
 		log.Fatalf("-streams must be >= 1, got %d", *streams)
 	}
 	cond0, _ := scenario.CondAt(0)
-	streamOpts := func(name string) []advdet.StreamOption {
-		opts := []advdet.StreamOption{
-			advdet.WithStreamName(name),
-			advdet.WithStreamFPS(*fps),
-			advdet.WithStreamInitial(cond0),
-		}
-		if *timingOnly {
-			opts = append(opts, advdet.WithStreamTimingOnly())
-		}
-		if *metricsOut != "" || *metricsJSON != "" || *streams > 1 {
-			opts = append(opts, advdet.WithStreamMetrics())
-		}
-		return opts
+	// Every stream shares one camera setup, so it is given once, as the
+	// engine's stream defaults; each stream adds only its name.
+	opts := []advdet.Option{
+		advdet.WithQueueDepth(2 * *streams),
+		advdet.WithFPS(*fps),
+		advdet.WithInitial(cond0),
 	}
-	eng := advdet.NewEngine(dets, advdet.WithQueueDepth(2**streams))
+	if *timingOnly {
+		opts = append(opts, advdet.WithTimingOnly())
+	}
+	if *metricsOut != "" || *metricsJSON != "" || *streams > 1 {
+		opts = append(opts, advdet.WithMetrics())
+	}
+	eng := advdet.NewEngine(dets, opts...)
 	defer eng.Close()
 	ctx := context.Background()
-	sys, err := eng.NewStream(streamOpts("cam-0")...)
+	sys, err := eng.NewStream(advdet.WithName("cam-0"))
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -126,7 +125,7 @@ func main() {
 	// engine while the first stream is reported frame by frame below.
 	var extras sync.WaitGroup
 	for n := 1; n < *streams; n++ {
-		st, err := eng.NewStream(streamOpts(fmt.Sprintf("cam-%d", n))...)
+		st, err := eng.NewStream(advdet.WithName(fmt.Sprintf("cam-%d", n)))
 		if err != nil {
 			log.Fatal(err)
 		}

@@ -44,7 +44,6 @@ func main() {
 	flFrames := flag.Int("fleet-frames", 0, "fleet experiment frames per stream (default 30)")
 	all := flag.Bool("all", false, "run everything")
 	quick := flag.Bool("quick", false, "smaller Table I datasets")
-	repeats := flag.Int("repeats", 1, "measurement repeats per reconfiguration controller")
 	jsonOut := flag.String("json", "", "write the machine-readable advdet-bench/v1 performance report (e.g. BENCH_pr10.json) to this file")
 	uhd := flag.Bool("uhd", false, "with -json, add the 3840x2160 temporal-cache cold/warm row (slow: UHD frames)")
 	flag.Parse()
@@ -109,7 +108,7 @@ func main() {
 	}
 
 	if *all || *rc {
-		results, err := experiments.ReconfigComparison(*repeats)
+		results, err := experiments.ReconfigComparison()
 		if err != nil {
 			log.Fatal(err)
 		}

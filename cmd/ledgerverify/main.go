@@ -164,7 +164,12 @@ func drive(streams, frames, fps int, seed uint64) (*advdet.Ledger, map[int32]led
 		Day:  pipeline.NewDayDuskDetector(&svm.Model{W: make([]float64, 1)}),
 		Dusk: pipeline.NewDayDuskDetector(&svm.Model{W: make([]float64, 1)}),
 	}
-	eng := advdet.NewEngine(dets)
+	// Every stream is a timing-only camera enrolled in the engine's
+	// shared ledger; only its fault plan differs.
+	eng := advdet.NewEngine(dets,
+		advdet.WithTimingOnly(),
+		advdet.WithFPS(fps),
+		advdet.WithLedger(nil))
 	defer eng.Close()
 
 	var wg sync.WaitGroup
@@ -173,12 +178,7 @@ func drive(streams, frames, fps int, seed uint64) (*advdet.Ledger, map[int32]led
 		if i%2 == 0 {
 			plan.DropIRQ(advdet.IRQPRDone, 1)
 		}
-		cam, err := eng.NewStream(
-			advdet.WithStreamTimingOnly(),
-			advdet.WithStreamFPS(fps),
-			advdet.WithStreamFaultPlan(plan),
-			advdet.WithStreamLedger(),
-		)
+		cam, err := eng.NewStream(advdet.WithFaultPlan(plan))
 		if err != nil {
 			log.Fatal(err)
 		}

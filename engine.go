@@ -14,8 +14,8 @@ import (
 // Fleet-scale types and errors, re-exported from internal/fleet and
 // internal/metrics.
 type (
-	// FleetStats are the engine dispatcher's monotonic counters
-	// (admitted/rejected/executed/abandoned items and batches).
+	// FleetStats are the engine dispatcher's monotonic counters of
+	// admitted, rejected, executed and abandoned frames.
 	FleetStats = fleet.Stats
 	// FleetSnapshot is the engine-wide metrics rollup: per-stream
 	// slot-deadline accounting plus the aggregate streams×fps
@@ -51,10 +51,13 @@ var (
 // who want none of this machinery should use NewSystem, which spawns
 // no goroutines.
 type Engine struct {
-	adEng        *adaptive.Engine
-	disp         *fleet.Dispatcher
-	rollup       *metrics.Fleet
-	scanTemporal bool
+	adEng  *adaptive.Engine
+	disp   *fleet.Dispatcher
+	rollup *metrics.Fleet
+	// defaults is the engine-scope resolution of NewEngine's options,
+	// the base every NewStream resolves from; its err is a misplaced
+	// engine option, which fails every NewStream.
+	defaults config
 
 	mu     sync.Mutex
 	nextID int
@@ -63,63 +66,23 @@ type Engine struct {
 	sealer *fleet.Sealer
 }
 
-// engineConfig collects the EngineOption knobs.
-type engineConfig struct {
-	parallelism  int
-	fleet        fleet.Config
-	scanTemporal bool
-}
-
-// EngineOption configures an Engine at construction time.
-type EngineOption func(*engineConfig)
-
-// WithEngineParallelism sets the engine's total scan-lane budget — the
-// pool shared by every stream's detection scans (n <= 0 selects
-// runtime.GOMAXPROCS(0)). Per-stream WithStreamParallelism then caps how
-// many shared lanes one frame may borrow.
-func WithEngineParallelism(n int) EngineOption {
-	return func(c *engineConfig) { c.parallelism = n }
-}
-
-// WithFleetWorkers sets the dispatcher's executor pool size: how many
-// frames (across all streams) execute concurrently. n <= 0 selects
-// runtime.GOMAXPROCS(0).
-func WithFleetWorkers(n int) EngineOption {
-	return func(c *engineConfig) { c.fleet.Workers = n }
-}
-
-// WithQueueDepth bounds the admission queue; a full queue makes
-// Stream.Process fail fast with ErrOverloaded instead of queueing
-// unboundedly. At most n + the worker count frames are admitted and
-// unfinished at once. n <= 0 selects twice the worker count.
-func WithQueueDepth(n int) EngineOption {
-	return func(c *engineConfig) { c.fleet.QueueDepth = n }
-}
-
-// WithEngineTemporalCache makes the temporal scan cache the default
-// for every stream opened on the engine (see WithTemporalCache). Each
-// stream still gets its own caches — only the default is shared —
-// so streams never alias each other's frame history. Individual
-// streams can opt out by passing WithStreamSystemOptions with
-// ScanTemporalCache unset.
-func WithEngineTemporalCache() EngineOption {
-	return func(c *engineConfig) { c.scanTemporal = true }
-}
-
 // NewEngine builds the shared engine over a trained detector set and
 // starts its dispatcher. The detectors are treated as immutable from
 // here on: every stream scans against the same models, exactly as the
 // paper's frame slots execute against the same loaded bitstreams.
-func NewEngine(dets Detectors, opts ...EngineOption) *Engine {
-	var cfg engineConfig
-	for _, o := range opts {
-		o(&cfg)
-	}
+//
+// The options are the defaults for every stream the engine opens
+// (see Option); WithParallelism also sizes the shared scan-lane pool,
+// and WithFleetWorkers and WithQueueDepth shape the dispatcher. A
+// misplaced option does not stop NewEngine, which has no error
+// return; instead every NewStream fails with ErrMisplacedOption.
+func NewEngine(dets Detectors, opts ...Option) *Engine {
+	cfg := resolve(scopeEngine, defaultConfig(), opts)
 	return &Engine{
-		adEng:        adaptive.NewEngine(dets, adaptive.EngineConfig{Parallelism: cfg.parallelism}),
-		disp:         fleet.NewDispatcher(cfg.fleet),
-		rollup:       metrics.NewFleet(),
-		scanTemporal: cfg.scanTemporal,
+		adEng:    adaptive.NewEngine(dets, adaptive.EngineConfig{Parallelism: cfg.opt.Parallelism}),
+		disp:     fleet.NewDispatcher(cfg.fleet),
+		rollup:   metrics.NewFleet(),
+		defaults: cfg,
 	}
 }
 
@@ -140,7 +103,7 @@ func (e *Engine) FleetSnapshot() FleetSnapshot { return e.rollup.Snapshot() }
 func (e *Engine) WriteFleetProm(w io.Writer) error { return e.rollup.WriteProm(w) }
 
 // Ledger returns the engine-level tamper-evident ledger, or nil if no
-// stream was opened with WithStreamLedger. All enrolled streams chain
+// stream was opened with WithLedger(nil). All enrolled streams chain
 // into it (one hash chain per stream) under one Merkle sealer and one
 // anchor chain.
 func (e *Engine) Ledger() *Ledger {
@@ -184,14 +147,17 @@ func (e *Engine) Close() {
 // (optionally) a metrics registry — while borrowing the engine's
 // shared models and scan lanes for the actual detection work.
 //
+// The options apply on top of the engine's defaults (see Option). A
+// misplaced option, here or on NewEngine, fails with
+// ErrMisplacedOption.
+//
 // A Stream is not safe for concurrent Process calls (a camera delivers
 // frames in order); different streams are independent and run
 // concurrently through the engine's dispatcher.
-func (e *Engine) NewStream(opts ...StreamOption) (*Stream, error) {
-	cfg := streamConfig{opt: DefaultSystemOptions()}
-	cfg.opt.ScanTemporalCache = e.scanTemporal
-	for _, o := range opts {
-		o(&cfg)
+func (e *Engine) NewStream(opts ...Option) (*Stream, error) {
+	cfg := resolve(scopeStream, e.defaults, opts)
+	if cfg.err != nil {
+		return nil, fmt.Errorf("advdet: new stream: %w", cfg.err)
 	}
 	e.mu.Lock()
 	if e.closed {
@@ -201,10 +167,10 @@ func (e *Engine) NewStream(opts ...StreamOption) (*Stream, error) {
 	id := e.nextID
 	e.nextID++
 	// The engine-assigned id labels the stream's events and keys its
-	// hash chain in the shared ledger; with WithStreamLedger the stream
+	// hash chain in the shared ledger; with WithLedger(nil) the stream
 	// enrolls in the lazily built engine-level ledger + sealer.
 	cfg.opt.StreamID = int32(id)
-	if cfg.ledger {
+	if cfg.shared {
 		cfg.opt.Ledger = e.ledgerLocked()
 	}
 	e.mu.Unlock()

@@ -14,10 +14,10 @@
 //     last-good resident model (stale, but live) instead of dropping,
 //   - ModeDegraded only once the retry budget is exhausted, and
 //     automatic recovery to ModeNominal on the next clean completion,
-//   - the unified typed event stream (WithStreamEventSink) carrying
+//   - the unified typed event stream (WithEventSink) carrying
 //     every fault, reconfiguration phase and mode transition — the
 //     legacy Stats.FaultLog is a derived view of the same stream,
-//   - the tamper-evident ledger (WithStreamLedger): the whole drive
+//   - the tamper-evident ledger (WithLedger(nil)): the whole drive
 //     hash-chained and Merkle-batched, with an inclusion proof checked
 //     at the end.
 package main
@@ -41,13 +41,13 @@ func main() {
 	defer eng.Close()
 	events := advdet.NewEventLog()
 	sys, err := eng.NewStream(
-		advdet.WithStreamTimingOnly(),
-		advdet.WithStreamInitial(advdet.Dusk),
-		advdet.WithStreamMetrics(),
-		advdet.WithStreamFaultPlan(plan),
-		advdet.WithStreamRetryPolicy(advdet.RetryPolicy{MaxRetries: 1}),
-		advdet.WithStreamEventSink(events),
-		advdet.WithStreamLedger(),
+		advdet.WithTimingOnly(),
+		advdet.WithInitial(advdet.Dusk),
+		advdet.WithMetrics(),
+		advdet.WithFaultPlan(plan),
+		advdet.WithRetryPolicy(advdet.RetryPolicy{MaxRetries: 1}),
+		advdet.WithEventSink(events),
+		advdet.WithLedger(nil),
 	)
 	if err != nil {
 		log.Fatal(err)

@@ -63,8 +63,8 @@ func main() {
 	wg.Add(streams)
 	for i := 0; i < streams; i++ {
 		st, err := eng.NewStream(
-			advdet.WithStreamName(fmt.Sprintf("cam-%d", i)),
-			advdet.WithStreamMetrics())
+			advdet.WithName(fmt.Sprintf("cam-%d", i)),
+			advdet.WithMetrics())
 		if err != nil {
 			log.Fatal(err)
 		}

@@ -35,7 +35,7 @@ func main() {
 
 	eng := advdet.NewEngine(dets)
 	defer eng.Close()
-	sys, err := eng.NewStream(advdet.WithStreamInitial(advdet.Dark))
+	sys, err := eng.NewStream(advdet.WithInitial(advdet.Dark))
 	if err != nil {
 		log.Fatal(err)
 	}

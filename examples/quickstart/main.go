@@ -33,7 +33,7 @@ func main() {
 		// Each condition gets its own stream, booted into that
 		// condition so no reconfiguration is pending when the frame
 		// arrives.
-		st, err := eng.NewStream(advdet.WithStreamInitial(cond))
+		st, err := eng.NewStream(advdet.WithInitial(cond))
 		if err != nil {
 			log.Fatal(err)
 		}

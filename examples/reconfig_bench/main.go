@@ -20,7 +20,7 @@ func main() {
 	fmt.Printf("partial bitstream for the %0.f%%-LUT partition: %.2f MB\n\n",
 		fpga.DefaultFloorplan().Region.UtilPercent(fpga.XC7Z100)[0], float64(bitstream)/1e6)
 
-	results, err := advdet.ReconfigThroughputs(bitstream, advdet.WithMeasureRepeats(3))
+	results, err := advdet.ReconfigThroughputs(bitstream)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -26,8 +26,8 @@ func main() {
 	eng := advdet.NewEngine(dets)
 	defer eng.Close()
 	sys, err := eng.NewStream(
-		advdet.WithStreamInitial(advdet.Dusk),
-		advdet.WithStreamTracking())
+		advdet.WithInitial(advdet.Dusk),
+		advdet.WithTracking())
 	if err != nil {
 		log.Fatal(err)
 	}

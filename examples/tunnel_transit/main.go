@@ -36,7 +36,7 @@ func main() {
 
 	eng := advdet.NewEngine(dets)
 	defer eng.Close()
-	sys, err := eng.NewStream(advdet.WithStreamFPS(fps), advdet.WithStreamMetrics())
+	sys, err := eng.NewStream(advdet.WithFPS(fps), advdet.WithMetrics())
 	if err != nil {
 		log.Fatal(err)
 	}

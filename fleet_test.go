@@ -53,7 +53,7 @@ func TestFleetDeterminismTable(t *testing.T) {
 			// Fleet: 8 concurrent streams on one shared engine.
 			const streams = 8
 			eng := NewEngine(d,
-				WithEngineParallelism(workers),
+				WithParallelism(workers),
 				WithQueueDepth(2*streams))
 			defer eng.Close()
 			got := make([][]FrameResult, streams)
@@ -61,8 +61,8 @@ func TestFleetDeterminismTable(t *testing.T) {
 			wg.Add(streams)
 			for i := 0; i < streams; i++ {
 				st, err := eng.NewStream(
-					WithStreamName(fmt.Sprintf("cam-%d", i)),
-					WithStreamParallelism(workers))
+					WithName(fmt.Sprintf("cam-%d", i)),
+					WithParallelism(workers))
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -92,7 +92,7 @@ func TestFleetDeterminismTable(t *testing.T) {
 func TestStreamProcessPreCancelledCtxNeverAdmits(t *testing.T) {
 	eng := NewEngine(getDets(t))
 	defer eng.Close()
-	st, err := eng.NewStream(WithStreamTimingOnly())
+	st, err := eng.NewStream(WithTimingOnly())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -123,11 +123,11 @@ func TestFleetSentinelIdentities(t *testing.T) {
 
 func TestStreamCloseAndEngineCloseErrors(t *testing.T) {
 	eng := NewEngine(getDets(t))
-	st, err := eng.NewStream(WithStreamTimingOnly(), WithStreamMetrics())
+	st, err := eng.NewStream(WithTimingOnly(), WithMetrics())
 	if err != nil {
 		t.Fatal(err)
 	}
-	other, err := eng.NewStream(WithStreamTimingOnly())
+	other, err := eng.NewStream(WithTimingOnly())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -188,9 +188,9 @@ func TestFleetOverloadShedsGracefully(t *testing.T) {
 	sink := &gateSink{entered: make(chan struct{}), release: make(chan struct{})}
 	var sts []*Stream
 	for i := 0; i < streams; i++ {
-		opts := []StreamOption{WithStreamName(fmt.Sprintf("over-%d", i)), WithStreamTimingOnly()}
+		opts := []Option{WithName(fmt.Sprintf("over-%d", i)), WithTimingOnly()}
 		if i == 0 {
-			opts = append(opts, WithStreamEventSink(sink))
+			opts = append(opts, WithEventSink(sink))
 		}
 		st, err := eng.NewStream(opts...)
 		if err != nil {
@@ -254,9 +254,9 @@ func TestManyStreamSoak(t *testing.T) {
 	wg.Add(streams)
 	for i := 0; i < streams; i++ {
 		st, err := eng.NewStream(
-			WithStreamName(fmt.Sprintf("soak-%d", i)),
-			WithStreamTimingOnly(),
-			WithStreamMetrics())
+			WithName(fmt.Sprintf("soak-%d", i)),
+			WithTimingOnly(),
+			WithMetrics())
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -312,7 +312,7 @@ func TestStreamRunScenarioMatchesSystem(t *testing.T) {
 	}
 	eng := NewEngine(d)
 	defer eng.Close()
-	st, err := eng.NewStream(WithStreamFPS(10), WithStreamTimingOnly(), WithStreamMetrics())
+	st, err := eng.NewStream(WithFPS(10), WithTimingOnly(), WithMetrics())
 	if err != nil {
 		t.Fatal(err)
 	}

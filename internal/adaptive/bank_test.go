@@ -75,7 +75,7 @@ func TestSystemCountsModelSwitches(t *testing.T) {
 	dusk := &svm.Model{W: make([]float64, 4)}
 	opt := DefaultOptions()
 	opt.RunDetectors = false
-	s, err := New(Detectors{
+	s, err := bootSystem(Detectors{
 		Day:  pipeline.NewDayDuskDetector(day),
 		Dusk: pipeline.NewDayDuskDetector(dusk),
 	}, opt)

@@ -39,19 +39,13 @@ func NewEngine(dets Detectors, cfg EngineConfig) *Engine {
 // acquire through their per-frame grant, not directly).
 func (e *Engine) Pool() *par.Pool { return e.pool }
 
-// NewSystem boots a per-stream System bound to this engine: it shares
-// the engine's detectors and borrows scan lanes from the engine pool
-// for the duration of each frame's detection work.
-func (e *Engine) NewSystem(opt Options) (*System, error) {
-	return newSystem(e, e.Dets, opt)
-}
-
 // beginFrameLanes reserves this frame's scan lanes from the engine
-// pool. Without an engine (the classic single-stream path) or in
-// timing-only mode (no scans run) it is a no-op and the Parallelism
-// knob is used directly.
+// pool: between 1 and Parallelism lanes, which every scan of the frame
+// then uses. Detection output is byte-identical for every grant (the
+// par determinism contract), so a thin grant under fleet load shapes
+// latency only. In timing-only mode no scans run and it is a no-op.
 func (s *System) beginFrameLanes() {
-	if s.eng == nil || !s.Opt.RunDetectors {
+	if !s.Opt.RunDetectors {
 		return
 	}
 	s.grant = s.eng.pool.Acquire(par.Workers(s.Opt.Parallelism))

@@ -30,13 +30,6 @@ func TestEngineNewSystemSharesDetectorsAndPool(t *testing.T) {
 	}
 }
 
-func TestStandaloneSystemHasNoEngine(t *testing.T) {
-	s := timingSystem(t, synth.Day)
-	if s.Engine() != nil {
-		t.Fatalf("standalone system reports engine %v", s.Engine())
-	}
-}
-
 // Timing-only systems never touch the lane pool, so any number of them
 // can share a one-lane engine without contention.
 func TestTimingOnlyStreamsSkipLanePool(t *testing.T) {

@@ -60,7 +60,7 @@ func TestSystemWithImageSensing(t *testing.T) {
 	opt.Initial = synth.Dusk
 	opt.RunDetectors = false
 	opt.SenseFromImage = true
-	s, err := New(Detectors{}, opt)
+	s, err := bootSystem(Detectors{}, opt)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -25,7 +25,7 @@ func eventSystem(t *testing.T, plan *fault.Plan, led *ledger.Ledger) (*System, *
 	opt.EnableMetrics = true
 	opt.EventSinks = []EventSink{events}
 	opt.Ledger = led
-	s, err := New(Detectors{}, opt)
+	s, err := bootSystem(Detectors{}, opt)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -22,7 +22,7 @@ func resilientSystem(t *testing.T, initial synth.Condition, plan *fault.Plan, re
 	opt.FaultPlan = plan
 	opt.Retry = retry
 	opt.EnableMetrics = true
-	s, err := New(Detectors{}, opt)
+	s, err := bootSystem(Detectors{}, opt)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -317,7 +317,7 @@ func TestBankSelectFaultServesPreviousModel(t *testing.T) {
 	// write is idempotent), so the day->dusk switching write after four
 	// day frames and the two-frame debounce is the 7th select.
 	opt.FaultPlan = fault.NewPlan(7).FailBankSelect(7)
-	s, err := New(Detectors{
+	s, err := bootSystem(Detectors{
 		Day:  pipeline.NewDayDuskDetector(day),
 		Dusk: pipeline.NewDayDuskDetector(dusk),
 	}, opt)

@@ -11,7 +11,6 @@ import (
 	"advdet/internal/img"
 	"advdet/internal/ledger"
 	"advdet/internal/metrics"
-	"advdet/internal/par"
 	"advdet/internal/pipeline"
 	"advdet/internal/pr"
 	"advdet/internal/soc"
@@ -136,9 +135,10 @@ type Options struct {
 	// detections. Confirmed tracks appear in FrameResult.Tracks and
 	// coast through the one-frame reconfiguration dropout.
 	EnableTracking bool
-	// Parallelism bounds the detection worker pool: the software
-	// model of the PL's replicated window-evaluation lanes. Values
-	// <= 0 select runtime.GOMAXPROCS(0); 1 runs every scan on the calling
+	// Parallelism caps how many of the engine's scan lanes one frame
+	// borrows: the software model of the PL's replicated
+	// window-evaluation lanes. Values <= 0 select
+	// runtime.GOMAXPROCS(0); 1 runs every scan on the calling
 	// goroutine. Detection output is identical for every setting.
 	Parallelism int
 	// EnableMetrics attaches the frame-budget telemetry registry
@@ -175,8 +175,8 @@ type Options struct {
 	// StreamID) under a single engine-level Merkle sealer.
 	Ledger *ledger.Ledger
 	// StreamID labels this system's events and its chain in a shared
-	// ledger. Engine streams get the engine-assigned id; standalone
-	// systems default to 0.
+	// ledger. Root-package streams get their engine-assigned id;
+	// otherwise it is 0.
 	StreamID int32
 }
 
@@ -268,9 +268,9 @@ type System struct {
 	Dets    Detectors
 	Opt     Options
 
-	// eng is the shared engine this stream was created from, nil for
-	// the classic standalone path. grant holds the scan lanes borrowed
-	// from the engine pool for the frame currently being processed.
+	// eng is the shared engine this stream was created from. grant
+	// holds the scan lanes borrowed from the engine pool for the frame
+	// currently being processed.
 	eng   *Engine
 	grant int
 
@@ -304,18 +304,13 @@ type System struct {
 	ledBuf []byte
 }
 
-// New boots a standalone system: it builds the platform, stages both
-// partial bitstreams into the PL-dedicated DDR (the paper's one-time
-// boot cost) and loads the configuration for the initial condition.
-// The system owns its Parallelism budget outright; to share detectors
-// and scan lanes across streams, build an Engine and use
-// Engine.NewSystem instead.
-func New(dets Detectors, opt Options) (*System, error) {
-	return newSystem(nil, dets, opt)
-}
-
-// newSystem is the common boot path behind New and Engine.NewSystem.
-func newSystem(eng *Engine, dets Detectors, opt Options) (*System, error) {
+// NewSystem boots a per-stream System bound to this engine: it builds
+// the platform, stages both partial bitstreams into the PL-dedicated
+// DDR (the paper's one-time boot cost) and loads the configuration for
+// the initial condition. The System shares the engine's detectors and
+// borrows scan lanes from the engine pool for the duration of each
+// frame's detection work.
+func (e *Engine) NewSystem(opt Options) (*System, error) {
 	if opt.FPS <= 0 {
 		return nil, fmt.Errorf("adaptive: FPS must be positive, got %d", opt.FPS)
 	}
@@ -323,9 +318,9 @@ func newSystem(eng *Engine, dets Detectors, opt Options) (*System, error) {
 		return nil, fmt.Errorf("adaptive: bitstream size must be positive, got %d", opt.BitstreamBytes)
 	}
 	opt.Retry = opt.Retry.withDefaults()
-	dets = dets.withScanOptions(opt)
+	dets := e.Dets.withScanOptions(opt)
 	s := &System{
-		eng:     eng,
+		eng:     e,
 		Z:       soc.NewZynq(),
 		PR:      pr.NewDMAICAP(),
 		Monitor: NewMonitor(opt.Initial),
@@ -402,20 +397,7 @@ func (s *System) Stats() Stats {
 	return cp
 }
 
-// workers resolves how many scan lanes this frame's detection work may
-// use: the lanes granted by the engine pool when the system is bound
-// to an engine, otherwise the raw Parallelism knob. Detection output
-// is byte-identical for every value (the par determinism contract), so
-// a thin grant under fleet load shapes latency only.
-func (s *System) workers() int {
-	if s.grant > 0 {
-		return s.grant
-	}
-	return par.Workers(s.Opt.Parallelism)
-}
-
-// Engine returns the shared engine this system was created from, or
-// nil for a standalone system.
+// Engine returns the shared engine this system was created from.
 func (s *System) Engine() *Engine { return s.eng }
 
 // Metrics returns the telemetry registry, or nil when metrics are
@@ -441,7 +423,7 @@ func (s *System) ProcessFrame(sc *synth.Scene) (FrameResult, error) {
 // reconfiguration is launched if the needed configuration differs from
 // the loaded one, vehicle detection runs (or is dropped during
 // reconfiguration), and pedestrian detection always runs. Detection
-// work is fanned out across the Parallelism worker pool.
+// work is fanned out across the frame's lanes from the engine pool.
 //
 // The context cancels mid-frame: detection scans stop at the next row
 // boundary and the frame is aborted with the context's error wrapped
@@ -462,7 +444,7 @@ func (s *System) ProcessFrameCtx(ctx context.Context, sc *synth.Scene) (FrameRes
 		return FrameResult{}, err
 	}
 	// Borrow this frame's scan lanes from the shared engine pool (a
-	// no-op for standalone systems). Held across the whole frame so
+	// no-op in timing-only mode). Held across the whole frame so
 	// vehicle and pedestrian scans see one consistent worker count.
 	s.beginFrameLanes()
 	defer s.endFrameLanes()
@@ -615,7 +597,7 @@ func (s *System) ProcessFrameCtx(ctx context.Context, sc *synth.Scene) (FrameRes
 		if s.metrics != nil {
 			scanWall = time.Now() // lint:walltime metrics dual-recording: wall lap rides beside the ps slot clock
 		}
-		peds, err := s.Dets.Pedestrian.DetectCtx(ctx, img.RGBToGray(sc.Frame), s.workers())
+		peds, err := s.Dets.Pedestrian.DetectCtx(ctx, img.RGBToGray(sc.Frame), s.grant)
 		if err != nil {
 			return FrameResult{}, fmt.Errorf("adaptive: frame %d: %w", s.frameIdx, err)
 		}
@@ -690,16 +672,16 @@ func (s *System) detectVehicles(ctx context.Context, sc *synth.Scene, cond synth
 		switch cond {
 		case synth.Day:
 			if s.Dets.Day != nil {
-				return s.Dets.Day.DetectTimedCtx(ctx, gray(), s.workers(), tm)
+				return s.Dets.Day.DetectTimedCtx(ctx, gray(), s.grant, tm)
 			}
 		case synth.Dusk:
 			if s.Dets.Dusk != nil {
-				return s.Dets.Dusk.DetectTimedCtx(ctx, gray(), s.workers(), tm)
+				return s.Dets.Dusk.DetectTimedCtx(ctx, gray(), s.grant, tm)
 			}
 		case synth.Dark:
 			if s.Dets.Dark != nil {
 				tm = nil // dark pipeline is taillight-based, not a HOG scan
-				return s.Dets.Dark.DetectCtx(ctx, sc.Frame, s.workers())
+				return s.Dets.Dark.DetectCtx(ctx, sc.Frame, s.grant)
 			}
 		}
 		tm = nil

@@ -8,6 +8,12 @@ import (
 	"advdet/internal/synth"
 )
 
+// bootSystem boots a System alone on a private engine whose lane pool
+// is sized by opt.Parallelism.
+func bootSystem(dets Detectors, opt Options) (*System, error) {
+	return NewEngine(dets, EngineConfig{Parallelism: opt.Parallelism}).NewSystem(opt)
+}
+
 // timingSystem builds a system with no software detectors (timing and
 // reconfiguration behaviour only).
 func timingSystem(t *testing.T, initial synth.Condition) *System {
@@ -15,7 +21,7 @@ func timingSystem(t *testing.T, initial synth.Condition) *System {
 	opt := DefaultOptions()
 	opt.Initial = initial
 	opt.RunDetectors = false
-	s, err := New(Detectors{}, opt)
+	s, err := bootSystem(Detectors{}, opt)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -44,12 +50,12 @@ func TestNewStagesBothBitstreams(t *testing.T) {
 func TestNewValidatesOptions(t *testing.T) {
 	opt := DefaultOptions()
 	opt.FPS = 0
-	if _, err := New(Detectors{}, opt); err == nil {
+	if _, err := bootSystem(Detectors{}, opt); err == nil {
 		t.Fatal("FPS=0 accepted")
 	}
 	opt = DefaultOptions()
 	opt.BitstreamBytes = -1
-	if _, err := New(Detectors{}, opt); err == nil {
+	if _, err := bootSystem(Detectors{}, opt); err == nil {
 		t.Fatal("negative bitstream accepted")
 	}
 }
@@ -243,7 +249,7 @@ func TestSlotOverrunsAbove50FPS(t *testing.T) {
 	opt := DefaultOptions()
 	opt.FPS = 60
 	opt.RunDetectors = false
-	s, err := New(Detectors{}, opt)
+	s, err := bootSystem(Detectors{}, opt)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -62,7 +62,7 @@ func TestSlotOverrunExactDeadlineBoundary(t *testing.T) {
 		opt := DefaultOptions()
 		opt.RunDetectors = false
 		opt.EnableMetrics = true
-		s, err := New(Detectors{}, opt)
+		s, err := bootSystem(Detectors{}, opt)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -102,7 +102,7 @@ func TestSlotClockExactOverLongRuns(t *testing.T) {
 	opt := DefaultOptions()
 	opt.FPS = 30
 	opt.RunDetectors = false
-	s, err := New(Detectors{}, opt)
+	s, err := bootSystem(Detectors{}, opt)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -130,7 +130,7 @@ func TestModelSelectWaitsForReconfigCompletion(t *testing.T) {
 	opt := DefaultOptions()
 	opt.Initial = synth.Dark
 	opt.RunDetectors = false
-	s, err := New(Detectors{
+	s, err := bootSystem(Detectors{
 		Day:  pipeline.NewDayDuskDetector(&svm.Model{W: make([]float64, 4)}),
 		Dusk: pipeline.NewDayDuskDetector(&svm.Model{W: make([]float64, 4)}),
 	}, opt)
@@ -189,7 +189,7 @@ func TestSnapshotAcrossConditions(t *testing.T) {
 	opt := DefaultOptions()
 	opt.RunDetectors = false
 	opt.EnableMetrics = true
-	s, err := New(Detectors{
+	s, err := bootSystem(Detectors{
 		Day:  pipeline.NewDayDuskDetector(&svm.Model{W: make([]float64, 4)}),
 		Dusk: pipeline.NewDayDuskDetector(&svm.Model{W: make([]float64, 4)}),
 	}, opt)

@@ -183,14 +183,13 @@ var PaperThroughputs = map[string]float64{
 }
 
 // ReconfigComparison measures all controllers on one partial
-// bitstream, averaging each over repeats runs (the model is
-// deterministic, so repeats > 1 is a stability check, not a
-// variance-reduction need).
-func ReconfigComparison(repeats int) ([]pr.Result, error) {
+// bitstream. The model is deterministic, so one run per controller is
+// the measurement.
+func ReconfigComparison() ([]pr.Result, error) {
 	bytes := fpga.DefaultFloorplan().PartialBitstreamBytes()
 	var out []pr.Result
 	for _, ctrl := range pr.All() {
-		res, err := pr.MeasureN(ctrl, bytes, repeats)
+		res, err := pr.Measure(ctrl, bytes)
 		if err != nil {
 			return nil, err
 		}
@@ -597,7 +596,7 @@ func TransitionCost() (ms float64, dropped int, err error) {
 	opt := adaptive.DefaultOptions()
 	opt.Initial = synth.Dusk
 	opt.RunDetectors = false
-	sys, err := adaptive.New(adaptive.Detectors{}, opt)
+	sys, err := adaptive.NewEngine(adaptive.Detectors{}, adaptive.EngineConfig{}).NewSystem(opt)
 	if err != nil {
 		return 0, 0, err
 	}

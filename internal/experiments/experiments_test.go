@@ -87,7 +87,7 @@ func TestTableIIRowsMatchPaper(t *testing.T) {
 }
 
 func TestReconfigComparisonBands(t *testing.T) {
-	results, err := ReconfigComparison(2)
+	results, err := ReconfigComparison()
 	if err != nil {
 		t.Fatal(err)
 	}

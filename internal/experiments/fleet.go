@@ -132,7 +132,8 @@ func FleetBench(opt FleetOptions) (FleetPerf, error) {
 
 	// Warm-up: one frame grows the pooled scan scratch and the
 	// histogram LUT so both timed runs start in steady state.
-	warm, err := adaptive.New(dets, sysOpt)
+	solo := adaptive.NewEngine(dets, adaptive.EngineConfig{Parallelism: sysOpt.Parallelism})
+	warm, err := solo.NewSystem(sysOpt)
 	if err != nil {
 		return rep, err
 	}
@@ -140,8 +141,8 @@ func FleetBench(opt FleetOptions) (FleetPerf, error) {
 		return rep, err
 	}
 
-	// Baseline: one standalone single-lane stream.
-	single, err := adaptive.New(dets, sysOpt)
+	// Baseline: one single-lane stream alone on its own engine.
+	single, err := solo.NewSystem(sysOpt)
 	if err != nil {
 		return rep, err
 	}

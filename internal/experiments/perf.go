@@ -119,10 +119,10 @@ func PerfBench() (PerfReport, error) {
 	// Placeholder models instantiate the BRAM model bank so the free
 	// day<->dusk switch appears in the report; timing mode never
 	// evaluates them.
-	sys, err := adaptive.New(adaptive.Detectors{
+	sys, err := adaptive.NewEngine(adaptive.Detectors{
 		Day:  pipeline.NewDayDuskDetector(&svm.Model{W: make([]float64, 1)}),
 		Dusk: pipeline.NewDayDuskDetector(&svm.Model{W: make([]float64, 1)}),
-	}, opt)
+	}, adaptive.EngineConfig{}).NewSystem(opt)
 	if err != nil {
 		return rep, err
 	}
@@ -243,7 +243,7 @@ func PerfBench() (PerfReport, error) {
 	rep.ScanTemporalWarmMS = tp.WarmMS
 	rep.TileHitRate = tp.TileHitRate
 
-	results, err := ReconfigComparison(1)
+	results, err := ReconfigComparison()
 	if err != nil {
 		return rep, err
 	}

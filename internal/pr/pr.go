@@ -77,32 +77,6 @@ func Measure(ctrl Controller, bytes int) (Result, error) {
 	return Result{Controller: ctrl.Name(), Bytes: bytes, PS: d, MBPerSec: soc.MBPerSec(bytes, d)}, nil
 }
 
-// MeasureN runs Measure repeats times, each on a fresh platform, and
-// returns the result with the mean duration — the repeat knob behind
-// the root API's WithMeasureRepeats. The model is deterministic, so
-// repeats tighten nothing today; the knob exists so the bench surface
-// is ready for models with contention jitter.
-func MeasureN(ctrl Controller, bytes, repeats int) (Result, error) {
-	if repeats <= 0 {
-		return Result{}, fmt.Errorf("pr: repeats must be positive, got %d", repeats)
-	}
-	var (
-		sumPS uint64
-		out   Result
-	)
-	for i := 0; i < repeats; i++ {
-		r, err := Measure(ctrl, bytes)
-		if err != nil {
-			return Result{}, err
-		}
-		sumPS += r.PS
-		out = r
-	}
-	out.PS = sumPS / uint64(repeats)
-	out.MBPerSec = soc.MBPerSec(bytes, out.PS)
-	return out, nil
-}
-
 // checkSize rejects non-positive bitstream sizes up front, before any
 // platform state is touched.
 func checkSize(name string, bytes int) error {

@@ -155,7 +155,7 @@ func TestMeasureTimeoutOnAbortedStream(t *testing.T) {
 		t.Fatalf("aborted stream: got %v, want ErrTimeout", err)
 	}
 	d.Abort()
-	res, err := MeasureN(d, 8<<20, 1)
+	res, err := Measure(d, 8<<20)
 	if err != nil {
 		t.Fatalf("retry after abort: %v", err)
 	}
@@ -178,22 +178,22 @@ func TestZyCAPAbortReArms(t *testing.T) {
 	}
 }
 
-// TestMeasureNRejectsBadRepeats pins MeasureN's input contract and
-// that the mean over a deterministic model equals a single run.
-func TestMeasureNRejectsBadRepeats(t *testing.T) {
-	if _, err := MeasureN(&PCAP{}, 1<<20, 0); err == nil {
-		t.Fatal("repeats=0 accepted")
+// TestMeasureRejectsBadSize pins Measure's input contract and that a
+// single run of the deterministic model is reproducible.
+func TestMeasureRejectsBadSize(t *testing.T) {
+	if _, err := Measure(&PCAP{}, 0); err == nil {
+		t.Fatal("bitstream size 0 accepted")
 	}
 	one, err := Measure(&PCAP{}, 1<<20)
 	if err != nil {
 		t.Fatal(err)
 	}
-	three, err := MeasureN(&PCAP{}, 1<<20, 3)
+	again, err := Measure(&PCAP{}, 1<<20)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if three.PS != one.PS {
-		t.Fatalf("deterministic model: mean of 3 = %d ps, single = %d ps", three.PS, one.PS)
+	if again.PS != one.PS {
+		t.Fatalf("deterministic model: %d ps then %d ps", one.PS, again.PS)
 	}
 }
 

@@ -56,7 +56,7 @@ func TestLedgerDeterministicAcrossWorkers(t *testing.T) {
 		cur.results = make([][]FrameResult, nStreams)
 		var wg sync.WaitGroup
 		for si := 0; si < nStreams; si++ {
-			s, err := eng.NewStream(WithStreamLedger())
+			s, err := eng.NewStream(WithLedger(nil))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -235,10 +235,10 @@ func TestEngineMultiStreamLedgerE2E(t *testing.T) {
 	for i := 0; i < nStreams; i++ {
 		plan := NewFaultPlan(uint64(80+i)).CorruptStage("dark", 1)
 		s, err := eng.NewStream(
-			WithStreamTimingOnly(),
-			WithStreamInitial(Dusk),
-			WithStreamFaultPlan(plan),
-			WithStreamLedger(),
+			WithTimingOnly(),
+			WithInitial(Dusk),
+			WithFaultPlan(plan),
+			WithLedger(nil),
 		)
 		if err != nil {
 			t.Fatal(err)

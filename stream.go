@@ -21,119 +21,6 @@ type Stream struct {
 	closed bool
 }
 
-// streamConfig collects the StreamOption knobs over a SystemOptions.
-type streamConfig struct {
-	name   string
-	ledger bool
-	opt    SystemOptions
-}
-
-// StreamOption configures a Stream at creation time. Options are
-// applied in order on top of DefaultSystemOptions, so later options
-// win; WithStreamSystemOptions replaces the whole struct and is
-// therefore usually first when mixed with field options.
-type StreamOption func(*streamConfig)
-
-// WithStreamName labels the stream in the fleet metrics rollup and in
-// error messages. Defaults to "stream-<n>" in creation order.
-func WithStreamName(name string) StreamOption {
-	return func(c *streamConfig) { c.name = name }
-}
-
-// WithStreamSystemOptions replaces the stream's entire option struct —
-// the bridge for callers still building a SystemOptions by hand.
-func WithStreamSystemOptions(opt SystemOptions) StreamOption {
-	return func(c *streamConfig) { c.opt = opt }
-}
-
-// WithStreamFPS sets the stream's camera frame rate (the paper runs
-// at 50).
-func WithStreamFPS(fps int) StreamOption {
-	return func(c *streamConfig) { c.opt.FPS = fps }
-}
-
-// WithStreamBitstreamBytes sets the partial bitstream size used by the
-// stream's reconfiguration model.
-func WithStreamBitstreamBytes(n int) StreamOption {
-	return func(c *streamConfig) { c.opt.BitstreamBytes = n }
-}
-
-// WithStreamInitial sets the stream's boot lighting condition.
-func WithStreamInitial(cond Condition) StreamOption {
-	return func(c *streamConfig) { c.opt.Initial = cond }
-}
-
-// WithStreamParallelism caps how many of the engine's shared scan
-// lanes one of this stream's frames may borrow (n <= 0 means up to
-// runtime.GOMAXPROCS(0)). Detection output is identical for every setting.
-func WithStreamParallelism(n int) StreamOption {
-	return func(c *streamConfig) { c.opt.Parallelism = n }
-}
-
-// WithStreamTimingOnly disables software detection for this stream:
-// it models frame timing and reconfiguration only.
-func WithStreamTimingOnly() StreamOption {
-	return func(c *streamConfig) { c.opt.RunDetectors = false }
-}
-
-// WithStreamSenseFromImage estimates ambient light from frame pixels
-// instead of the scene's sensor value.
-func WithStreamSenseFromImage() StreamOption {
-	return func(c *streamConfig) { c.opt.SenseFromImage = true }
-}
-
-// WithStreamTracking runs the Kalman/Hungarian tracker over this
-// stream's detections.
-func WithStreamTracking() StreamOption {
-	return func(c *streamConfig) { c.opt.EnableTracking = true }
-}
-
-// WithStreamMetrics attaches a per-stream telemetry registry; the
-// stream then also contributes its slot-deadline record to the
-// engine's FleetSnapshot capacity rollup.
-func WithStreamMetrics() StreamOption {
-	return func(c *streamConfig) { c.opt.EnableMetrics = true }
-}
-
-// WithStreamFaultPlan installs a fault injector on this stream's
-// reconfiguration datapath (see NewFaultPlan).
-func WithStreamFaultPlan(p *FaultPlan) StreamOption {
-	return func(c *streamConfig) { c.opt.FaultPlan = p }
-}
-
-// WithStreamRetryPolicy bounds this stream's reconfiguration watchdog
-// and retry/backoff loop.
-func WithStreamRetryPolicy(rp RetryPolicy) StreamOption {
-	return func(c *streamConfig) { c.opt.Retry = rp }
-}
-
-// WithStreamTemporalCache reuses this stream's feature/block buffers
-// across its consecutive frames (see WithTemporalCache). Each
-// stream gets its own caches, so the option is safe on engines whose
-// streams share one Detectors value.
-func WithStreamTemporalCache() StreamOption {
-	return func(c *streamConfig) { c.opt.ScanTemporalCache = true }
-}
-
-// WithStreamEventSink subscribes a consumer to this stream's typed
-// event stream (see WithEventSink). One sink value may subscribe to
-// several streams — EventLog is safe for that — with each event
-// carrying the engine-assigned stream id.
-func WithStreamEventSink(sink EventSink) StreamOption {
-	return func(c *streamConfig) { c.opt.EventSinks = append(c.opt.EventSinks, sink) }
-}
-
-// WithStreamLedger enrolls the stream in the engine's shared
-// tamper-evident ledger: the stream gets its own hash chain (keyed by
-// its engine-assigned id) inside the one engine-level ledger, whose
-// Merkle batches interleave all enrolled streams under a single
-// anchor chain and are sealed by size, simulated-time span, or the
-// engine's wall-clock sealer (joined and flushed by Engine.Close).
-// Access it with Engine.Ledger().
-func WithStreamLedger() StreamOption {
-	return func(c *streamConfig) { c.ledger = true }
-}
-
 // Name returns the stream's fleet label.
 func (s *Stream) Name() string { return s.name }
 
@@ -155,12 +42,12 @@ func (s *Stream) Loaded() ConfigID { return s.sys.Loaded() }
 func (s *Stream) Mode() Mode { return s.sys.Mode() }
 
 // Snapshot exports the stream's telemetry registry (zero-valued with
-// Enabled=false unless WithStreamMetrics was given).
+// Enabled=false unless WithMetrics was given).
 func (s *Stream) Snapshot() MetricsSnapshot { return s.sys.Snapshot() }
 
 // Process runs one frame through the engine: the frame is admitted to
 // the engine's bounded queue (failing fast with ErrOverloaded beyond
-// capacity), batched, and executed on the shared worker pool with the
+// capacity) and executed on one of the engine's executors with the
 // stream's own adaptive state. Frames on one stream are processed
 // strictly in order; concurrent Process calls on different streams
 // multiplex over the pool.
