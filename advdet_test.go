@@ -251,24 +251,28 @@ func TestMetricsSnapshotEndToEnd(t *testing.T) {
 		t.Fatalf("reconfig stage %d ps outside ~20 ms", rc.SimPSTotal)
 	}
 	// Every HOG vehicle scan reports each of its ScanTimings stages,
-	// the haar prefilter included, and both exports carry them.
+	// and both exports carry them.
 	resize, _ := snap.StageByName("scan-resize")
-	pre, ok := snap.StageByName("scan-prefilter")
-	if !ok || resize.Count == 0 || pre.Count != resize.Count {
-		t.Fatalf("scan-prefilter count %d (present %v), want one per HOG scan (%d)", pre.Count, ok, resize.Count)
+	if resize.Count == 0 {
+		t.Fatal("no HOG scan reported its stages")
+	}
+	for _, name := range []string{"scan-feature", "scan-blocks", "scan-response", "scan-windows"} {
+		if st, ok := snap.StageByName(name); !ok || st.Count != resize.Count {
+			t.Fatalf("%s count %d (present %v), want one per HOG scan (%d)", name, st.Count, ok, resize.Count)
+		}
 	}
 	var js bytes.Buffer
 	if err := snap.WriteJSON(&js); err != nil {
 		t.Fatal(err)
 	}
-	if !strings.Contains(js.String(), `"scan-prefilter"`) {
-		t.Fatalf("JSON export missing the scan-prefilter stage:\n%s", js.String())
+	if !strings.Contains(js.String(), `"scan-blocks"`) {
+		t.Fatalf("JSON export missing the scan-blocks stage:\n%s", js.String())
 	}
 	var prom bytes.Buffer
 	if err := sys.Metrics().WriteProm(&prom); err != nil {
 		t.Fatal(err)
 	}
-	if want := fmt.Sprintf(`advdet_stage_invocations_total{stage="scan-prefilter"} %d`, pre.Count); !strings.Contains(prom.String(), want) {
+	if want := fmt.Sprintf(`advdet_stage_invocations_total{stage="scan-blocks"} %d`, resize.Count); !strings.Contains(prom.String(), want) {
 		t.Fatalf("Prometheus export missing %q:\n%s", want, prom.String())
 	}
 }

@@ -27,16 +27,16 @@ import (
 // Shared trained state, built lazily so cheap benches stay cheap.
 var (
 	benchOnce sync.Once
-	benchDay  *pipeline.DayDuskDetector
+	benchDay  *pipeline.HOGDetector
 	benchDark *pipeline.DarkDetector
-	benchPed  *pipeline.PedestrianDetector
+	benchPed  *pipeline.HOGDetector
 )
 
-func benchDetectors(b *testing.B) (*pipeline.DayDuskDetector, *pipeline.DarkDetector, *pipeline.PedestrianDetector) {
+func benchDetectors(b *testing.B) (*pipeline.HOGDetector, *pipeline.DarkDetector, *pipeline.HOGDetector) {
 	b.Helper()
 	benchOnce.Do(func() {
 		ds := synth.DayDataset(1, 64, 64, 100, 100)
-		m, err := pipeline.TrainVehicleSVM(ds, hog.DefaultConfig(), svm.DefaultOptions())
+		m, err := pipeline.TrainCropSVM(ds, hog.DefaultConfig(), pipeline.VehicleWindow, pipeline.VehicleWindow, svm.DefaultOptions())
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -53,7 +53,7 @@ func benchDetectors(b *testing.B) (*pipeline.DayDuskDetector, *pipeline.DarkDete
 		}
 
 		pd := synth.PedestrianDataset(3, pipeline.PedWindowW, pipeline.PedWindowH, 100, 100, synth.Day)
-		pm, err := pipeline.TrainPedestrianSVM(pd, hog.DefaultConfig(), svm.DefaultOptions())
+		pm, err := pipeline.TrainCropSVM(pd, hog.DefaultConfig(), pipeline.PedWindowW, pipeline.PedWindowH, svm.DefaultOptions())
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -107,7 +107,7 @@ func BenchmarkFig1Training(b *testing.B) {
 	ds := synth.DayDataset(7, 64, 64, 60, 60)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := pipeline.TrainVehicleSVM(ds, hog.DefaultConfig(), svm.DefaultOptions()); err != nil {
+		if _, err := pipeline.TrainCropSVM(ds, hog.DefaultConfig(), pipeline.VehicleWindow, pipeline.VehicleWindow, svm.DefaultOptions()); err != nil {
 			b.Fatal(err)
 		}
 	}

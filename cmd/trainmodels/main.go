@@ -49,7 +49,7 @@ func main() {
 	combDS := pipeline.CombineDatasets("combined", dayDS, duskDS)
 
 	train := func(name string, ds *synth.Dataset) *svm.Model {
-		m, err := pipeline.TrainVehicleSVM(ds, hogCfg, svmOpts)
+		m, err := pipeline.TrainCropSVM(ds, hogCfg, pipeline.VehicleWindow, pipeline.VehicleWindow, svmOpts)
 		if err != nil {
 			log.Fatalf("train %s: %v", name, err)
 		}
@@ -68,7 +68,7 @@ func main() {
 	pedDusk := synth.PedestrianDataset(*seed+3, pipeline.PedWindowW, pipeline.PedWindowH, nTrain*3/8, nTrain*3/8, synth.Dusk)
 	pedDark := synth.PedestrianDataset(*seed+4, pipeline.PedWindowW, pipeline.PedWindowH, nTrain*3/8, nTrain*3/8, synth.Dark)
 	pedAll := pipeline.CombineDatasets("ped", pipeline.CombineDatasets("pd", pedDay, pedDusk), pedDark)
-	pedModel, err := pipeline.TrainPedestrianSVM(pedAll, hogCfg, svmOpts)
+	pedModel, err := pipeline.TrainCropSVM(pedAll, hogCfg, pipeline.PedWindowW, pipeline.PedWindowH, svmOpts)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -45,7 +45,7 @@ func main() {
 	// 2. Train the animal detector and check it works.
 	fmt.Println("\ntraining animal HOG+SVM...")
 	train := synth.AnimalDataset(1, pipeline.AnimalWindowW, pipeline.AnimalWindowH, 80, 80, synth.Day)
-	model, err := pipeline.TrainAnimalSVM(train, hog.DefaultConfig(), svm.DefaultOptions())
+	model, err := pipeline.TrainCropSVM(train, hog.DefaultConfig(), pipeline.AnimalWindowW, pipeline.AnimalWindowH, svm.DefaultOptions())
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -46,10 +46,16 @@ func configFor(c synth.Condition) ConfigID {
 
 // Detectors bundles the trained detectors the system switches between.
 type Detectors struct {
-	Day        *pipeline.DayDuskDetector
-	Dusk       *pipeline.DayDuskDetector
+	Day        *pipeline.HOGDetector
+	Dusk       *pipeline.HOGDetector
 	Dark       *pipeline.DarkDetector
-	Pedestrian *pipeline.PedestrianDetector
+	Pedestrian *pipeline.HOGDetector
+}
+
+// hogSlots returns pointers to the HOG detector slots: day, dusk and
+// pedestrian.
+func (d *Detectors) hogSlots() []**pipeline.HOGDetector {
+	return []**pipeline.HOGDetector{&d.Day, &d.Dusk, &d.Pedestrian}
 }
 
 // withScanOptions applies the system-level scan flags to the HOG
@@ -65,20 +71,12 @@ func (d Detectors) withScanOptions(opt Options) Detectors {
 	// to one frame sequence, so sharing one across streams (or across
 	// the day/dusk/pedestrian scans of one stream, which see different
 	// pyramids) would poison it every frame.
-	if d.Day != nil {
-		c := *d.Day
-		c.Temporal = pipeline.NewTemporalCache()
-		d.Day = &c
-	}
-	if d.Dusk != nil {
-		c := *d.Dusk
-		c.Temporal = pipeline.NewTemporalCache()
-		d.Dusk = &c
-	}
-	if d.Pedestrian != nil {
-		c := *d.Pedestrian
-		c.Temporal = pipeline.NewTemporalCache()
-		d.Pedestrian = &c
+	for _, slot := range d.hogSlots() {
+		if *slot != nil {
+			c := **slot
+			c.Temporal = pipeline.NewTemporalCache()
+			*slot = &c
+		}
 	}
 	return d
 }
@@ -90,27 +88,11 @@ func (d Detectors) withScanOptions(opt Options) Detectors {
 // during reconfiguration breaks the consecutive-frame contract the
 // cache's dirty-tile deltas assume.
 func (s *System) invalidateTemporalCaches() {
-	for _, tc := range []*pipeline.TemporalCache{
-		detTemporal(s.Dets.Day), detTemporal(s.Dets.Dusk), pedTemporal(s.Dets.Pedestrian),
-	} {
-		if tc != nil {
-			tc.Invalidate()
+	for _, slot := range s.Dets.hogSlots() {
+		if *slot != nil && (*slot).Temporal != nil {
+			(*slot).Temporal.Invalidate()
 		}
 	}
-}
-
-func detTemporal(d *pipeline.DayDuskDetector) *pipeline.TemporalCache {
-	if d == nil {
-		return nil
-	}
-	return d.Temporal
-}
-
-func pedTemporal(d *pipeline.PedestrianDetector) *pipeline.TemporalCache {
-	if d == nil {
-		return nil
-	}
-	return d.Temporal
 }
 
 // Options configures the system.
@@ -690,7 +672,6 @@ func (s *System) detectVehicles(ctx context.Context, sc *synth.Scene, cond synth
 	if err == nil && tm != nil {
 		s.metrics.StageObserve(metrics.StageScanResize, 0, uint64(tm.Resize))
 		s.metrics.StageObserve(metrics.StageScanFeature, 0, uint64(tm.Feature))
-		s.metrics.StageObserve(metrics.StageScanPrefilter, 0, uint64(tm.Prefilter))
 		s.metrics.StageObserve(metrics.StageScanBlocks, 0, uint64(tm.Blocks))
 		s.metrics.StageObserve(metrics.StageScanResponse, 0, uint64(tm.Response))
 		s.metrics.StageObserve(metrics.StageScanWindows, 0, uint64(tm.Windows))

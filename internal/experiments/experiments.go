@@ -92,7 +92,7 @@ func TableI(o TableIOptions) ([]TableIRow, error) {
 
 	var rows []TableIRow
 	for _, m := range models {
-		model, err := pipeline.TrainVehicleSVM(m.ds, hogCfg, svmOpts)
+		model, err := pipeline.TrainCropSVM(m.ds, hogCfg, pipeline.VehicleWindow, pipeline.VehicleWindow, svmOpts)
 		if err != nil {
 			return nil, fmt.Errorf("experiments: table I %s model: %w", m.name, err)
 		}
@@ -343,11 +343,11 @@ func AdaptiveVsFixed(seed uint64, framesPerCond int) ([]AdaptiveVsFixedRow, erro
 	// Train one detector bundle.
 	hogCfg := hog.DefaultConfig()
 	opts := svm.DefaultOptions()
-	dayModel, err := pipeline.TrainVehicleSVM(synth.DayDataset(seed, 64, 64, 80, 80), hogCfg, opts)
+	dayModel, err := pipeline.TrainCropSVM(synth.DayDataset(seed, 64, 64, 80, 80), hogCfg, pipeline.VehicleWindow, pipeline.VehicleWindow, opts)
 	if err != nil {
 		return nil, err
 	}
-	duskModel, err := pipeline.TrainVehicleSVM(synth.DuskDataset(seed+1, 64, 64, 80, 80, 0), hogCfg, opts)
+	duskModel, err := pipeline.TrainCropSVM(synth.DuskDataset(seed+1, 64, 64, 80, 80, 0), hogCfg, pipeline.VehicleWindow, pipeline.VehicleWindow, opts)
 	if err != nil {
 		return nil, err
 	}
@@ -461,7 +461,7 @@ func QuantizationLoss(seed uint64, trainN, testN int) (QuantizationResult, error
 	train := synth.DuskDataset(seed, 64, 64, trainN, trainN, 0)
 	test := synth.DuskDataset(seed+1, 64, 64, testN, testN, 0)
 	hogCfg := hog.DefaultConfig()
-	m, err := pipeline.TrainVehicleSVM(train, hogCfg, svm.DefaultOptions())
+	m, err := pipeline.TrainCropSVM(train, hogCfg, pipeline.VehicleWindow, pipeline.VehicleWindow, svm.DefaultOptions())
 	if err != nil {
 		return res, err
 	}

@@ -194,7 +194,7 @@ func PerfBench() (PerfReport, error) {
 		return rep, err
 	}
 	rep.ScanBlockPath = tm.BlockPath
-	rep.ScanTotalMS = (tm.Resize + tm.Feature + tm.Blocks + tm.Response + tm.Windows + tm.Prefilter).Seconds() * 1e3
+	rep.ScanTotalMS = (tm.Resize + tm.Feature + tm.Blocks + tm.Response + tm.Windows).Seconds() * 1e3
 	rep.ScanStages = []ScanStagePerf{
 		{Stage: "resize", WallMS: tm.Resize.Seconds() * 1e3},
 		{Stage: "feature", WallMS: tm.Feature.Seconds() * 1e3},
@@ -206,7 +206,7 @@ func PerfBench() (PerfReport, error) {
 	// Lane comparison: the same frame through each scoring path,
 	// serial, best of three so a stray scheduler hiccup on one rep
 	// doesn't masquerade as a regression.
-	lane := func(set func(d *pipeline.DayDuskDetector)) (float64, error) {
+	lane := func(set func(d *pipeline.HOGDetector)) (float64, error) {
 		det := *scanDet
 		set(&det)
 		ctx := context.Background() // lint:ctxroot benchmark harness owns the run
@@ -225,10 +225,10 @@ func PerfBench() (PerfReport, error) {
 		}
 		return best, nil
 	}
-	if rep.ScanEarlyRejectMS, err = lane(func(d *pipeline.DayDuskDetector) {}); err != nil {
+	if rep.ScanEarlyRejectMS, err = lane(func(d *pipeline.HOGDetector) {}); err != nil {
 		return rep, err
 	}
-	if rep.ScanDescriptorMS, err = lane(func(d *pipeline.DayDuskDetector) { d.NoBlockResponse = true }); err != nil {
+	if rep.ScanDescriptorMS, err = lane(func(d *pipeline.HOGDetector) { d.NoBlockResponse = true }); err != nil {
 		return rep, err
 	}
 

@@ -158,19 +158,22 @@ func TestDownsampleBinaryPreservesForegroundExistence(t *testing.T) {
 	}
 }
 
-func TestPyramidGrayLevels(t *testing.T) {
-	g := NewGray(128, 64)
-	levels := PyramidGray(g, 1.25, 32, 16)
-	if len(levels) < 3 {
-		t.Fatalf("only %d pyramid levels", len(levels))
+func TestPyramidSizesLevels(t *testing.T) {
+	sizes := PyramidSizes(128, 64, 1.25, 32, 16)
+	if len(sizes) < 3 {
+		t.Fatalf("only %d pyramid levels", len(sizes))
 	}
-	if levels[0].W != 128 || levels[0].H != 64 {
-		t.Fatal("level 0 should match the input size")
+	if sizes[0] != [2]int{128, 64} {
+		t.Fatalf("level 0 is %v, want the source size", sizes[0])
 	}
-	for i := 1; i < len(levels); i++ {
-		if levels[i].W >= levels[i-1].W {
-			t.Fatalf("level %d not smaller than level %d", i, i-1)
+	for i := 1; i < len(sizes); i++ {
+		if sizes[i][0] >= sizes[i-1][0] || sizes[i][1] >= sizes[i-1][1] {
+			t.Fatalf("level %d %v not smaller than level %d %v", i, sizes[i], i-1, sizes[i-1])
 		}
+	}
+	last := sizes[len(sizes)-1]
+	if last[0] < 32 || last[1] < 16 {
+		t.Fatalf("last level %v no longer covers the 32x16 minimum", last)
 	}
 }
 

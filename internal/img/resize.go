@@ -144,15 +144,15 @@ func DownsampleBinary(b *Binary, factor int) *Binary {
 	return out
 }
 
-// PyramidSizes returns the level dimensions PyramidGray produces for
-// a w x h source: each level smaller by the given per-level scale
-// (> 1) until the image no longer covers (minW, minH). Exposed so the
-// parallel detection engine can build the levels concurrently while
-// staying geometry-identical to the serial pyramid.
+// PyramidSizes returns the level dimensions of an image pyramid over
+// a w x h source: level 0 is the source size and each further level is
+// smaller by the given per-level scale (> 1) until the image no longer
+// covers (minW, minH). The HOG scan resizes the levels itself, into
+// pooled buffers and concurrently.
 func PyramidSizes(w, h int, scale float64, minW, minH int) [][2]int {
 	if scale <= 1 {
 		// lint:invariant documented contract: scale must exceed 1
-		panic("img: PyramidGray scale must exceed 1")
+		panic("img: PyramidSizes scale must exceed 1")
 	}
 	var sizes [][2]int
 	fw, fh := float64(w), float64(h)
@@ -163,17 +163,4 @@ func PyramidSizes(w, h int, scale float64, minW, minH int) [][2]int {
 		w, h = int(fw), int(fh)
 	}
 	return sizes
-}
-
-// PyramidGray returns successively downscaled copies of g, each level
-// smaller by the given per-level scale (> 1), until the image no longer
-// covers (minW, minH). Level 0 is a copy of g itself. The multi-scale
-// pedestrian detector scans every level with a fixed-size window.
-func PyramidGray(g *Gray, scale float64, minW, minH int) []*Gray {
-	sizes := PyramidSizes(g.W, g.H, scale, minW, minH)
-	levels := make([]*Gray, len(sizes))
-	for i, s := range sizes {
-		levels[i] = ResizeGray(g, s[0], s[1])
-	}
-	return levels
 }

@@ -9,7 +9,7 @@ import (
 
 // HotPathAlloc returns the analyzer enforcing the allocation-free
 // steady-state contract of the scan engine: functions reachable on the
-// call graph from `// lint:hotpath` roots (pipeline.hogScan.run, the
+// call graph from `// lint:hotpath` roots (pipeline.HOGDetector.scan, the
 // hog.BlockGrid/svm.BlockModel compute paths, the metrics record
 // paths) run once or thousands of times per frame, and PR 5's pooled
 // scratch design keeps them allocation-free. The analyzer freezes that

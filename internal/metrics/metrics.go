@@ -44,13 +44,11 @@ const (
 	StageReconfigFault
 	// StageScanResize through StageScanWindows attribute one vehicle
 	// scan's wall time to the block-response engine's sub-stages
-	// (pyramid resize, feature maps, haar prefilter integrals, block
-	// normalization, anchor lattice setup, window scoring) — the
-	// software mirror of the Fig. 2 datapath stages. The prefilter
-	// stage is zero when no prefilter cascade is attached.
+	// (pyramid resize, feature maps, block normalization, anchor
+	// lattice setup, window scoring) — the software mirror of the
+	// Fig. 2 datapath stages.
 	StageScanResize
 	StageScanFeature
-	StageScanPrefilter
 	StageScanBlocks
 	StageScanResponse
 	StageScanWindows
@@ -70,7 +68,7 @@ const (
 var stageNames = [NumStages]string{
 	"sense", "model-select", "vehicle-scan", "pedestrian-scan",
 	"dma-stream", "reconfig", "reconfig-fault",
-	"scan-resize", "scan-feature", "scan-prefilter", "scan-blocks", "scan-response", "scan-windows",
+	"scan-resize", "scan-feature", "scan-blocks", "scan-response", "scan-windows",
 	"scan-temporal",
 	"fleet-dispatch",
 }

@@ -12,7 +12,7 @@ import (
 func TestStageNames(t *testing.T) {
 	want := []string{"sense", "model-select", "vehicle-scan",
 		"pedestrian-scan", "dma-stream", "reconfig", "reconfig-fault",
-		"scan-resize", "scan-feature", "scan-prefilter", "scan-blocks", "scan-response",
+		"scan-resize", "scan-feature", "scan-blocks", "scan-response",
 		"scan-windows", "scan-temporal", "fleet-dispatch"}
 	for i, w := range want {
 		if got := Stage(i).String(); got != w {

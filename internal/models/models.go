@@ -119,8 +119,8 @@ func Load(dir string) (*Bundle, error) {
 
 // Detectors assembles the adaptive system's detector set from the
 // bundle.
-func (b *Bundle) Detectors() (day *pipeline.DayDuskDetector, dusk *pipeline.DayDuskDetector,
-	dark *pipeline.DarkDetector, ped *pipeline.PedestrianDetector, err error) {
+func (b *Bundle) Detectors() (day *pipeline.HOGDetector, dusk *pipeline.HOGDetector,
+	dark *pipeline.DarkDetector, ped *pipeline.HOGDetector, err error) {
 	if err := b.Validate(); err != nil {
 		return nil, nil, nil, nil, err
 	}

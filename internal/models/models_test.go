@@ -15,16 +15,17 @@ func smallBundle(t *testing.T) *Bundle {
 	t.Helper()
 	hogCfg := hog.DefaultConfig()
 	opts := svm.DefaultOptions()
-	day, err := pipeline.TrainVehicleSVM(synth.DayDataset(1, 64, 64, 20, 20), hogCfg, opts)
+	day, err := pipeline.TrainCropSVM(synth.DayDataset(1, 64, 64, 20, 20), hogCfg, pipeline.VehicleWindow, pipeline.VehicleWindow, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	dusk, err := pipeline.TrainVehicleSVM(synth.DuskDataset(2, 64, 64, 20, 20, 0), hogCfg, opts)
+	dusk, err := pipeline.TrainCropSVM(synth.DuskDataset(2, 64, 64, 20, 20, 0), hogCfg, pipeline.VehicleWindow, pipeline.VehicleWindow, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	ped, err := pipeline.TrainPedestrianSVM(
-		synth.PedestrianDataset(3, pipeline.PedWindowW, pipeline.PedWindowH, 20, 20, synth.Day), hogCfg, opts)
+	ped, err := pipeline.TrainCropSVM(
+		synth.PedestrianDataset(3, pipeline.PedWindowW, pipeline.PedWindowH, 20, 20, synth.Day), hogCfg,
+		pipeline.PedWindowW, pipeline.PedWindowH, opts)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -10,10 +10,10 @@ import (
 	"advdet/internal/synth"
 )
 
-func trainAnimal(t *testing.T, seed uint64) *AnimalDetector {
+func trainAnimal(t *testing.T, seed uint64) *HOGDetector {
 	t.Helper()
 	ds := synth.AnimalDataset(seed, AnimalWindowW, AnimalWindowH, 60, 60, synth.Day)
-	m, err := TrainAnimalSVM(ds, hog.DefaultConfig(), svm.DefaultOptions())
+	m, err := TrainCropSVM(ds, hog.DefaultConfig(), AnimalWindowW, AnimalWindowH, svm.DefaultOptions())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -6,7 +6,6 @@ import (
 	"runtime"
 	"testing"
 
-	"advdet/internal/haar"
 	"advdet/internal/img"
 	"advdet/internal/synth"
 )
@@ -17,56 +16,51 @@ import (
 type scanVariant struct {
 	noBlocks   bool // force the per-window descriptor path
 	fullMargin bool // score with the fullMarginDetect reference instead
-	prefilter  *haar.Cascade
 }
 
-// scanFn runs one full detect under a scoring variant, so the table
-// below can exercise every detector kind through one code path.
-type scanFn func(t *testing.T, g *img.Gray, workers int, v scanVariant) []Detection
+// blockEquivalenceCase is one HOG scan kind of the system and the
+// frame it is checked on.
+type blockEquivalenceCase struct {
+	name  string
+	frame *img.Gray
+	det   *HOGDetector
+}
 
 // blockEquivalenceCases covers all four HOG scan kinds of the system:
 // day and dusk vehicles, pedestrians, animals.
-func blockEquivalenceCases(t *testing.T) []struct {
-	name  string
-	frame *img.Gray
-	scan  scanFn
-} {
+func blockEquivalenceCases(t *testing.T) []blockEquivalenceCase {
 	t.Helper()
-	dayModel := trainSmall(t, synth.DayDataset(700, 64, 64, 50, 50))
-	duskModel := trainSmall(t, synth.DuskDataset(701, 64, 64, 50, 50, 0))
+	day := NewDayDuskDetector(trainSmall(t, synth.DayDataset(700, 64, 64, 50, 50)))
+	dusk := NewDayDuskDetector(trainSmall(t, synth.DuskDataset(701, 64, 64, 50, 50, 0)))
+	dusk.DetectThresh = -0.25 // loosen so the scene yields detections to compare
 	ped := trainPed(t, 702)
+	ped.DetectThresh = -0.25 // loosen so the scene yields detections to compare
 	animal := trainAnimal(t, 705)
 	dayFrame := scanScene(710, 320, 200)
 	duskFrame := img.RGBToGray(synth.RenderScene(synth.NewRNG(711),
 		synth.SceneConfig{W: 320, H: 200, Cond: synth.Dusk, NumVehicles: 2}).Frame)
-	return []struct {
-		name  string
-		frame *img.Gray
-		scan  scanFn
-	}{
-		{"day", dayFrame, func(t *testing.T, g *img.Gray, workers int, v scanVariant) []Detection {
-			det := NewDayDuskDetector(dayModel)
-			applyVariant(&det.NoBlockResponse, &det.Prefilter, v)
-			return detectVariant(t, det, g, workers, v)
-		}},
-		{"dusk", duskFrame, func(t *testing.T, g *img.Gray, workers int, v scanVariant) []Detection {
-			det := NewDayDuskDetector(duskModel)
-			det.DetectThresh = -0.25 // loosen so the scene yields detections to compare
-			applyVariant(&det.NoBlockResponse, &det.Prefilter, v)
-			return detectVariant(t, det, g, workers, v)
-		}},
-		{"pedestrian", dayFrame, func(t *testing.T, g *img.Gray, workers int, v scanVariant) []Detection {
-			d := *ped
-			d.DetectThresh = -0.25 // loosen so the scene yields detections to compare
-			applyVariant(&d.NoBlockResponse, &d.Prefilter, v)
-			return detectVariant(t, &d, g, workers, v)
-		}},
-		{"animal", dayFrame, func(t *testing.T, g *img.Gray, workers int, v scanVariant) []Detection {
-			d := *animal
-			applyVariant(&d.NoBlockResponse, &d.Prefilter, v)
-			return detectVariant(t, &d, g, workers, v)
-		}},
+	return []blockEquivalenceCase{
+		{"day", dayFrame, day},
+		{"dusk", duskFrame, dusk},
+		{"pedestrian", dayFrame, ped},
+		{"animal", dayFrame, animal},
 	}
+}
+
+// scan runs the case's detector over its frame under a scoring
+// variant.
+func (tc blockEquivalenceCase) scan(t *testing.T, workers int, v scanVariant) []Detection {
+	t.Helper()
+	d := *tc.det
+	d.NoBlockResponse = v.noBlocks
+	if v.fullMargin {
+		return fullMarginDetect(t, &d, tc.frame)
+	}
+	dets, err := d.DetectCtx(context.Background(), tc.frame, workers)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return dets
 }
 
 // TestBlockResponseMatchesDescriptorPath is the engine's acceptance
@@ -77,12 +71,12 @@ func blockEquivalenceCases(t *testing.T) []struct {
 func TestBlockResponseMatchesDescriptorPath(t *testing.T) {
 	for _, tc := range blockEquivalenceCases(t) {
 		t.Run(tc.name, func(t *testing.T) {
-			ref := tc.scan(t, tc.frame, 1, scanVariant{noBlocks: true}) // descriptor path, serial
+			ref := tc.scan(t, 1, scanVariant{noBlocks: true}) // descriptor path, serial
 			if len(ref) == 0 {
 				t.Fatalf("%s: reference scan found nothing; scene too easy to miss a regression", tc.name)
 			}
 			for _, workers := range []int{1, 2, runtime.NumCPU()} {
-				got := tc.scan(t, tc.frame, workers, scanVariant{})
+				got := tc.scan(t, workers, scanVariant{})
 				if len(got) != len(ref) {
 					t.Fatalf("workers=%d: %d detections, want %d", workers, len(got), len(ref))
 				}
@@ -118,11 +112,10 @@ func TestScanSteadyStateAllocs(t *testing.T) {
 	ctx := context.Background()
 	for _, tc := range []struct {
 		name string
-		set  func(d *DayDuskDetector)
+		set  func(d *HOGDetector)
 	}{
-		{"early", func(d *DayDuskDetector) {}},
-		{"prefilter", func(d *DayDuskDetector) { d.Prefilter = constCascade(64, 64, -1) }},
-		{"temporal", func(d *DayDuskDetector) { d.Temporal = NewTemporalCache() }},
+		{"early", func(d *HOGDetector) {}},
+		{"temporal", func(d *HOGDetector) { d.Temporal = NewTemporalCache() }},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			det := *base
@@ -146,8 +139,7 @@ func TestScanSteadyStateAllocs(t *testing.T) {
 }
 
 // TestScanTimingsReported checks DetectTimedCtx fills every stage and
-// flags the block path. The prefilter stage is timed only when a
-// cascade is attached.
+// flags the block path.
 func TestScanTimingsReported(t *testing.T) {
 	det := NewDayDuskDetector(trainSmall(t, synth.DayDataset(730, 64, 64, 40, 40)))
 	g := scanScene(731, 256, 160)
@@ -157,9 +149,6 @@ func TestScanTimingsReported(t *testing.T) {
 	}
 	if !tm.BlockPath {
 		t.Fatal("aligned-stride scan did not take the block path")
-	}
-	if tm.Prefilter != 0 {
-		t.Fatalf("scan without a prefilter reported %v of prefilter time", tm.Prefilter)
 	}
 	for _, st := range []struct {
 		name string
@@ -174,14 +163,6 @@ func TestScanTimingsReported(t *testing.T) {
 		if st.d <= 0 {
 			t.Fatalf("stage %s reported no wall time", st.name)
 		}
-	}
-	pdet := *det
-	pdet.Prefilter = constCascade(VehicleWindow, VehicleWindow, -1)
-	if _, err := pdet.DetectTimedCtx(context.Background(), g, 1, &tm); err != nil {
-		t.Fatal(err)
-	}
-	if tm.Prefilter <= 0 {
-		t.Fatal("stage prefilter reported no wall time with a cascade attached")
 	}
 	det.NoBlockResponse = true
 	if _, err := det.DetectTimedCtx(context.Background(), g, 1, &tm); err != nil {

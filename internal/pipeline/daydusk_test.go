@@ -13,14 +13,14 @@ import (
 // trainSmall trains a model on a small dataset for test speed.
 func trainSmall(t *testing.T, ds *synth.Dataset) *svm.Model {
 	t.Helper()
-	m, err := TrainVehicleSVM(ds, hog.DefaultConfig(), svm.DefaultOptions())
+	m, err := TrainCropSVM(ds, hog.DefaultConfig(), VehicleWindow, VehicleWindow, svm.DefaultOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
 	return m
 }
 
-func evalCrops(det *DayDuskDetector, ds *synth.Dataset) eval.Confusion {
+func evalCrops(det *HOGDetector, ds *synth.Dataset) eval.Confusion {
 	return eval.EvaluateCrops(det.ClassifyCrop, ds.Pos, ds.Neg)
 }
 
@@ -119,15 +119,6 @@ func TestDetectFindsVehicleInScene(t *testing.T) {
 	m := eval.MatchBoxes(sc.Vehicles, Boxes(dets), 0.25)
 	if m.TP != 1 {
 		t.Fatalf("vehicle not localized: %v (dets=%d)", m, len(dets))
-	}
-}
-
-func TestClassifyCropResizesArbitrarySizes(t *testing.T) {
-	train := synth.DayDataset(50, 64, 64, 40, 40)
-	det := NewDayDuskDetector(trainSmall(t, train))
-	big := synth.VehicleCrop(synth.NewRNG(51), 128, 128, synth.Day)
-	if !det.ClassifyCrop(img.RGBToGray(big)) {
-		t.Fatal("128x128 vehicle crop rejected")
 	}
 }
 

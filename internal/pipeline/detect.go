@@ -77,49 +77,3 @@ func NMS(dets []Detection, iouThresh float64) []Detection {
 	}
 	return kept
 }
-
-// slideWindows scans a w x h window over g with the given stride,
-// invoking score for each position; positions scoring above threshold
-// are returned as detections in g's coordinates.
-func slideWindows(g *img.Gray, winW, winH, stride int, threshold float64,
-	score func(*img.Gray) float64, kind Kind) []Detection {
-	var dets []Detection
-	if g.W < winW || g.H < winH {
-		return nil
-	}
-	for y := 0; y+winH <= g.H; y += stride {
-		for x := 0; x+winW <= g.W; x += stride {
-			crop := g.SubImage(img.Rect{X0: x, Y0: y, X1: x + winW, Y1: y + winH})
-			if s := score(crop); s > threshold {
-				dets = append(dets, Detection{
-					Box:   img.Rect{X0: x, Y0: y, X1: x + winW, Y1: y + winH},
-					Score: s,
-					Kind:  kind,
-				})
-			}
-		}
-	}
-	return dets
-}
-
-// scanPyramid runs slideWindows on every level of an image pyramid and
-// maps detections back to level-0 coordinates.
-func scanPyramid(g *img.Gray, winW, winH, stride int, scale float64, threshold float64,
-	score func(*img.Gray) float64, kind Kind) []Detection {
-	levels := img.PyramidGray(g, scale, winW, winH)
-	var all []Detection
-	for _, level := range levels {
-		fx := float64(g.W) / float64(level.W)
-		fy := float64(g.H) / float64(level.H)
-		for _, d := range slideWindows(level, winW, winH, stride, threshold, score, kind) {
-			d.Box = img.Rect{
-				X0: int(float64(d.Box.X0) * fx),
-				Y0: int(float64(d.Box.Y0) * fy),
-				X1: int(float64(d.Box.X1) * fx),
-				Y1: int(float64(d.Box.Y1) * fy),
-			}
-			all = append(all, d)
-		}
-	}
-	return all
-}

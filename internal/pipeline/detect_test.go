@@ -62,68 +62,3 @@ func TestBoxes(t *testing.T) {
 		t.Fatal("Boxes extraction wrong")
 	}
 }
-
-func TestSlideWindowsCoversImage(t *testing.T) {
-	g := img.NewGray(32, 32)
-	g.Fill(100)
-	count := 0
-	slideWindows(g, 16, 16, 8, -1, func(w *img.Gray) float64 {
-		count++
-		if w.W != 16 || w.H != 16 {
-			t.Fatal("window size wrong")
-		}
-		return -10 // never accept
-	}, KindVehicle)
-	// (32-16)/8+1 = 3 positions per axis.
-	if count != 9 {
-		t.Fatalf("scored %d windows, want 9", count)
-	}
-}
-
-func TestSlideWindowsTooSmallImage(t *testing.T) {
-	g := img.NewGray(8, 8)
-	if got := slideWindows(g, 16, 16, 8, 0, func(*img.Gray) float64 { return 1 }, KindVehicle); got != nil {
-		t.Fatal("windows emitted for too-small image")
-	}
-}
-
-func TestSlideWindowsThreshold(t *testing.T) {
-	g := img.NewGray(32, 32)
-	dets := slideWindows(g, 16, 16, 16, 0.5, func(w *img.Gray) float64 {
-		return 1.0
-	}, KindPedestrian)
-	if len(dets) != 4 {
-		t.Fatalf("got %d detections, want 4", len(dets))
-	}
-	for _, d := range dets {
-		if d.Kind != KindPedestrian || d.Score != 1 {
-			t.Fatal("detection metadata wrong")
-		}
-	}
-}
-
-func TestScanPyramidMapsCoordinates(t *testing.T) {
-	// Score high only at one window on the smallest level; the mapped
-	// box must stay inside the original image.
-	g := img.NewGray(64, 64)
-	dets := scanPyramid(g, 16, 16, 8, 2.0, 0.5, func(w *img.Gray) float64 { return 1 }, KindVehicle)
-	if len(dets) == 0 {
-		t.Fatal("no detections")
-	}
-	full := img.Rect{X0: 0, Y0: 0, X1: 64, Y1: 64}
-	for _, d := range dets {
-		if d.Box.Intersect(full).Area() != d.Box.Area() {
-			t.Fatalf("mapped box %v escapes the frame", d.Box)
-		}
-	}
-	// Level-1 windows (32x32 level) must map to ~32x32 boxes.
-	var sawScaled bool
-	for _, d := range dets {
-		if d.Box.W() == 32 {
-			sawScaled = true
-		}
-	}
-	if !sawScaled {
-		t.Fatal("no detection mapped from the downscaled level")
-	}
-}

@@ -5,79 +5,34 @@ import (
 	"runtime"
 	"testing"
 
-	"advdet/internal/haar"
 	"advdet/internal/hog"
 	"advdet/internal/img"
 	"advdet/internal/svm"
 	"advdet/internal/synth"
 )
 
-// applyVariant writes a scanVariant's knobs through the detector
-// field pointers, so one helper serves all three HOG detector types.
-func applyVariant(noBlocks *bool, prefilter **haar.Cascade, v scanVariant) {
-	*noBlocks = v.noBlocks
-	*prefilter = v.prefilter
-}
-
-// hogDetector is the detect surface the three HOG detectors share.
-type hogDetector interface {
-	DetectCtx(ctx context.Context, g *img.Gray, workers int) ([]Detection, error)
-}
-
-// detectVariant runs d over g, or the full-margin reference when the
-// variant asks for it.
-func detectVariant(t *testing.T, d hogDetector, g *img.Gray, workers int, v scanVariant) []Detection {
-	t.Helper()
-	if v.fullMargin {
-		return fullMarginDetect(t, d, g)
-	}
-	dets, err := d.DetectCtx(context.Background(), g, workers)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return dets
-}
-
 // fullMarginDetect is the exact reference for the early-reject scan.
 // It rebuilds each pyramid level's block grid serially, keeps every
 // window whose full svm.BlockModel.WindowMargin exceeds the detector's
 // threshold, in level-major raster order, and applies the detector's
 // NMS. There is no early exit, no pooled scratch and no fan-out.
-func fullMarginDetect(t *testing.T, d hogDetector, g *img.Gray) []Detection {
+func fullMarginDetect(t *testing.T, d *HOGDetector, g *img.Gray) []Detection {
 	t.Helper()
-	var s hogScan
-	var nmsIoU float64
-	switch d := d.(type) {
-	case *DayDuskDetector:
-		s = hogScan{Cfg: d.HOG, Model: d.Model, WinW: VehicleWindow, WinH: VehicleWindow,
-			Stride: d.Stride, Scale: d.Scale, Thresh: d.DetectThresh, Kind: KindVehicle}
-		nmsIoU = d.NMSIoU
-	case *PedestrianDetector:
-		s = hogScan{Cfg: d.HOG, Model: d.Model, WinW: PedWindowW, WinH: PedWindowH,
-			Stride: d.Stride, Scale: d.Scale, Thresh: d.DetectThresh, Kind: KindPedestrian}
-		nmsIoU = d.NMSIoU
-	case *AnimalDetector:
-		s = hogScan{Cfg: d.HOG, Model: d.Model, WinW: AnimalWindowW, WinH: AnimalWindowH,
-			Stride: d.Stride, Scale: d.Scale, Thresh: d.DetectThresh, Kind: KindAnimal}
-		nmsIoU = d.NMSIoU
-	default:
-		t.Fatalf("no full-margin reference for %T", d)
+	cell := d.HOG.CellSize
+	if d.Stride%cell != 0 {
+		t.Fatalf("stride %d is off the %d-px cell grid; the block path does not apply", d.Stride, cell)
 	}
-	cell := s.Cfg.CellSize
-	if s.Stride%cell != 0 {
-		t.Fatalf("stride %d is off the %d-px cell grid; the block path does not apply", s.Stride, cell)
-	}
-	bw, bh := s.Cfg.BlocksFor(s.WinW, s.WinH)
-	bm, err := svm.NewBlockModel(s.Model, bw, bh, s.Cfg.BlockCells*s.Cfg.BlockCells*s.Cfg.Bins)
+	bw, bh := d.HOG.BlocksFor(d.WinW, d.WinH)
+	bm, err := svm.NewBlockModel(d.Model, bw, bh, d.HOG.BlockCells*d.HOG.BlockCells*d.HOG.Bins)
 	if err != nil {
 		t.Fatal(err)
 	}
 	ctx := context.Background()
 	var dets []Detection
-	for _, sz := range img.PyramidSizes(g.W, g.H, s.Scale, s.WinW, s.WinH) {
+	for _, sz := range img.PyramidSizes(g.W, g.H, d.Scale, d.WinW, d.WinH) {
 		level := img.ResizeGray(g, sz[0], sz[1])
 		var fm hog.FeatureMap
-		if err := fm.ComputeCtx(ctx, s.Cfg, level, 1, new(hog.Scratch)); err != nil {
+		if err := fm.ComputeCtx(ctx, d.HOG, level, 1, new(hog.Scratch)); err != nil {
 			t.Fatal(err)
 		}
 		var bg hog.BlockGrid
@@ -87,9 +42,9 @@ func fullMarginDetect(t *testing.T, d hogDetector, g *img.Gray) []Detection {
 		nbx, nby := bg.Dims()
 		lat := svm.Lattice{
 			NBX: nbx, NBY: nby,
-			StepX: s.Stride / cell, StepY: s.Stride / cell,
-			NAX: scanPositions(level.W, s.WinW, s.Stride), NAY: scanPositions(level.H, s.WinH, s.Stride),
-			BlockStride: s.Cfg.BlockStride,
+			StepX: d.Stride / cell, StepY: d.Stride / cell,
+			NAX: scanPositions(level.W, d.WinW, d.Stride), NAY: scanPositions(level.H, d.WinH, d.Stride),
+			BlockStride: d.HOG.BlockStride,
 		}
 		if lat.NAX == 0 || lat.NAY == 0 {
 			continue
@@ -102,25 +57,18 @@ func fullMarginDetect(t *testing.T, d hogDetector, g *img.Gray) []Detection {
 		for ay := 0; ay < lat.NAY; ay++ {
 			for ax := 0; ax < lat.NAX; ax++ {
 				m := bm.WindowMargin(bg.Data(), lat, ax, ay)
-				if m <= s.Thresh {
+				if m <= d.DetectThresh {
 					continue
 				}
-				x, y := ax*s.Stride, ay*s.Stride
+				x, y := ax*d.Stride, ay*d.Stride
 				dets = append(dets, Detection{Box: img.Rect{
 					X0: int(float64(x) * fx), Y0: int(float64(y) * fy),
-					X1: int(float64(x+s.WinW) * fx), Y1: int(float64(y+s.WinH) * fy),
-				}, Score: m, Kind: s.Kind})
+					X1: int(float64(x+d.WinW) * fx), Y1: int(float64(y+d.WinH) * fy),
+				}, Score: m, Kind: d.Kind})
 			}
 		}
 	}
-	return NMS(dets, nmsIoU)
-}
-
-// constCascade builds a single-stage stump-free cascade at the given
-// window: its stage score is -bias everywhere, so bias < 0 accepts
-// every window and bias > 0 rejects every window.
-func constCascade(winW, winH int, bias float64) *haar.Cascade {
-	return &haar.Cascade{Stages: []*haar.Classifier{{WinW: winW, WinH: winH, Bias: bias}}}
+	return NMS(dets, d.NMSIoU)
 }
 
 // requireSameDetections asserts got is byte-identical to want:
@@ -146,102 +94,15 @@ func requireSameDetections(t *testing.T, label string, got, want []Detection) {
 func TestEarlyRejectMatchesFullMargin(t *testing.T) {
 	for _, tc := range blockEquivalenceCases(t) {
 		t.Run(tc.name, func(t *testing.T) {
-			ref := tc.scan(t, tc.frame, 1, scanVariant{fullMargin: true})
+			ref := tc.scan(t, 1, scanVariant{fullMargin: true})
 			if len(ref) == 0 {
 				t.Fatalf("%s: full-margin scan found nothing; scene too easy to miss a regression", tc.name)
 			}
 			for _, workers := range []int{1, 2, runtime.NumCPU()} {
-				got := tc.scan(t, tc.frame, workers, scanVariant{})
+				got := tc.scan(t, workers, scanVariant{})
 				requireSameDetections(t, tc.name, got, ref)
 			}
 		})
-	}
-}
-
-// TestPrefilterGatesWindows pins the haar prefilter seam: a cascade
-// that accepts everything must not change the detection list at all,
-// one that rejects everything must yield zero detections, and one
-// trained at a different window geometry must be ignored (scoring it
-// at the scan's window would read the wrong pixels).
-func TestPrefilterGatesWindows(t *testing.T) {
-	for _, tc := range blockEquivalenceCases(t) {
-		t.Run(tc.name, func(t *testing.T) {
-			ref := tc.scan(t, tc.frame, 1, scanVariant{})
-			winW, winH := 64, 64
-			switch tc.name {
-			case "pedestrian":
-				winW, winH = PedWindowW, PedWindowH
-			case "animal":
-				winW, winH = AnimalWindowW, AnimalWindowH
-			}
-			pass := tc.scan(t, tc.frame, 1, scanVariant{prefilter: constCascade(winW, winH, -1)})
-			requireSameDetections(t, "accept-all prefilter", pass, ref)
-			none := tc.scan(t, tc.frame, 1, scanVariant{prefilter: constCascade(winW, winH, 1)})
-			if len(none) != 0 {
-				t.Fatalf("reject-all prefilter let %d detections through", len(none))
-			}
-			mismatched := tc.scan(t, tc.frame, 1, scanVariant{prefilter: constCascade(winW+8, winH, 1)})
-			requireSameDetections(t, "geometry-mismatched prefilter", mismatched, ref)
-			// The prefilter must gate the descriptor fallback too.
-			noneDesc := tc.scan(t, tc.frame, 1, scanVariant{noBlocks: true, prefilter: constCascade(winW, winH, 1)})
-			if len(noneDesc) != 0 {
-				t.Fatalf("reject-all prefilter let %d descriptor-path detections through", len(noneDesc))
-			}
-		})
-	}
-}
-
-// TestPrefilterLatticeMatchesScan is the window-geometry audit of the
-// haar cascade against the scan lattice: over randomized image and
-// window geometries (plus the real pyramid sizes of a 640x360 scan),
-// the positions haar.Classifier.Scan visits must be exactly the
-// scanPositions cross product — same counts on both axes, same
-// coordinates. A drift of one position at a boundary (e.g. size
-// exactly one stride past the window) would make the prefilter reject
-// windows the scan evaluates, silently changing detections.
-func TestPrefilterLatticeMatchesScan(t *testing.T) {
-	rng := synth.NewRNG(900)
-	type geom struct{ w, h, winW, winH, stride int }
-	var cases []geom
-	for i := 0; i < 200; i++ {
-		cases = append(cases, geom{
-			w:    rng.IntRange(10, 201),
-			h:    rng.IntRange(10, 201),
-			winW: rng.IntRange(8, 81),
-			winH: rng.IntRange(8, 81),
-			// The scan contract requires stride >= 1 (haar.Scan clamps).
-			stride: rng.IntRange(1, 33),
-		})
-	}
-	// The geometries a real vehicle scan hands the prefilter.
-	for _, s := range img.PyramidSizes(640, 360, 1.25, 64, 64) {
-		cases = append(cases, geom{w: s[0], h: s[1], winW: 64, winH: 64, stride: 16})
-	}
-	for _, c := range cases {
-		g := img.NewGray(c.w, c.h)
-		for i := range g.Pix {
-			g.Pix[i] = uint8(rng.Intn(256))
-		}
-		// A permissive classifier scores every window above threshold,
-		// so Scan's output enumerates its full lattice.
-		cls := &haar.Classifier{WinW: c.winW, WinH: c.winH, Bias: -1}
-		wins := cls.Scan(g, c.stride, 0)
-		nax := scanPositions(c.w, c.winW, c.stride)
-		nay := scanPositions(c.h, c.winH, c.stride)
-		if len(wins) != nax*nay {
-			t.Fatalf("geom %+v: haar lattice has %d positions, scan lattice %d x %d = %d",
-				c, len(wins), nax, nay, nax*nay)
-		}
-		k := 0
-		for ay := 0; ay < nay; ay++ {
-			for ax := 0; ax < nax; ax++ {
-				if wins[k].X != ax*c.stride || wins[k].Y != ay*c.stride {
-					t.Fatalf("geom %+v: position %d at (%d,%d), scan lattice expects (%d,%d)",
-						c, k, wins[k].X, wins[k].Y, ax*c.stride, ay*c.stride)
-				}
-				k++
-			}
-		}
 	}
 }
 
@@ -317,10 +178,10 @@ func TestShrinkThenRescan(t *testing.T) {
 	oracle.NoBlockResponse = true
 	for _, v := range []struct {
 		name string
-		set  func(d *DayDuskDetector)
+		set  func(d *HOGDetector)
 	}{
-		{"early", func(d *DayDuskDetector) {}},
-		{"temporal", func(d *DayDuskDetector) { d.Temporal = NewTemporalCache() }},
+		{"early", func(d *HOGDetector) {}},
+		{"temporal", func(d *HOGDetector) { d.Temporal = NewTemporalCache() }},
 	} {
 		t.Run(v.name, func(t *testing.T) {
 			d := *det

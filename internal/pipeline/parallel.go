@@ -4,20 +4,68 @@ import (
 	"context"
 	"time"
 
-	"advdet/internal/haar"
-	"advdet/internal/hog"
 	"advdet/internal/img"
 	"advdet/internal/par"
 	"advdet/internal/svm"
 )
 
-// hogScan describes one multi-scale HOG+SVM sliding-window scan: the
-// shared-cache, worker-pool equivalent of the serial scanPyramid
-// reference. The pyramid levels are resized concurrently, each
-// level's gradient/cell-histogram stages are computed once into a
-// read-only hog.FeatureMap, and window rows are fanned out across the
-// pool, with every row writing its own output slot so the assembled
-// detection list is identical for every worker count.
+// rowTask addresses one window row of one pyramid level.
+type rowTask struct{ level, y int }
+
+// rowScratch is the per-worker scratch of the window-row loop: the
+// descriptor buffer the fallback path assembles into and the partial-
+// margin stash of the early-reject path.
+type rowScratch struct {
+	desc    []float64
+	partial []float64
+}
+
+// ScanTimings breaks one multi-scale scan into its wall-clock stages,
+// mirroring the paper's Fig. 2 datapath: pyramid resize, gradient +
+// cell-histogram feature maps, block normalization, lattice setup,
+// and the window scoring sweep.
+// Detectors fill it via DetectTimedCtx so the telemetry layer can
+// attribute the vehicle-scan budget to sub-stages.
+type ScanTimings struct {
+	Resize   time.Duration // pyramid level resizing
+	Feature  time.Duration // gradient + cell-histogram feature maps
+	Blocks   time.Duration // block L2Hys normalization (block grids)
+	Response time.Duration // per-level anchor lattice setup and validation
+	Windows  time.Duration // window scoring + detection assembly
+	Temporal time.Duration // tile fingerprinting + dirty-mask dilation
+	// TileHits/TileMisses/TileRefreshes are the temporal cache's tile
+	// accounting for this scan (all zero without a cache): reused,
+	// content-changed, and no-comparable-fingerprint tiles.
+	TileHits      int
+	TileMisses    int
+	TileRefreshes int
+	// BlockPath reports whether the block-response fast path ran.
+	BlockPath bool
+	// TemporalPath reports whether a temporal cache served the scan.
+	TemporalPath bool
+	// Prefilter is always zero: the scan has no prefilter stage. The
+	// field remains only because the frozen perfbench module reads it.
+	Prefilter time.Duration
+}
+
+// scanPositions counts the window positions of a scan axis.
+func scanPositions(size, win, stride int) int {
+	if size < win {
+		return 0
+	}
+	return (size-win)/stride + 1
+}
+
+// scan runs the detector's multi-scale HOG+SVM sliding-window scan
+// over every pyramid level of g with the given worker count, returning
+// detections in deterministic level-major, raster order, before NMS.
+// tm may be nil; it is written only on success.
+//
+// The pyramid levels are resized concurrently, each level's
+// gradient/cell-histogram stages are computed once into a read-only
+// hog.FeatureMap, and window rows are fanned out across the pool, with
+// every row writing its own output slot so the assembled detection
+// list is identical for every worker count.
 //
 // When every scan position lies on the cell grid (stride a multiple
 // of the cell size — true for all shipped detectors), the scan takes
@@ -34,92 +82,14 @@ import (
 // full svm.BlockModel.WindowMargin evaluation.
 //
 // Unaligned strides keep the descriptor path with its per-window
-// Cfg.Extract crop fallback.
-type hogScan struct {
-	Cfg        hog.Config
-	Model      *svm.Model
-	WinW, WinH int
-	Stride     int
-	Scale      float64
-	Thresh     float64
-	Kind       Kind
-	// NoBlockResponse forces the per-window descriptor path. The
-	// block-response engine is on by default; benchmarks and
-	// equivalence tests use this to compare the two.
-	NoBlockResponse bool
-	// Prefilter, when non-nil and trained at exactly (WinW, WinH),
-	// integral-image-rejects windows before any block scoring. A
-	// cascade trained at a different window geometry is ignored: its
-	// scores would be evaluated over the wrong pixels.
-	Prefilter *haar.Cascade
-	// Temporal, when non-nil, carries the feature/block stack
-	// across frames and recomputes only what the frame's dirty tiles
-	// invalidate. Output stays byte-identical to a cold scan; the cache
-	// serves one frame sequence and must not be shared across
-	// detectors or concurrent scans.
-	Temporal *TemporalCache
-}
-
-// rowTask addresses one window row of one pyramid level.
-type rowTask struct{ level, y int }
-
-// rowScratch is the per-worker scratch of the window-row loop: the
-// descriptor buffer the fallback path assembles into and the partial-
-// margin stash of the early-reject path.
-type rowScratch struct {
-	desc    []float64
-	partial []float64
-}
-
-// ScanTimings breaks one multi-scale scan into its wall-clock stages,
-// mirroring the paper's Fig. 2 datapath: pyramid resize, gradient +
-// cell-histogram feature maps, haar prefilter integrals, block
-// normalization, lattice setup, and the window scoring sweep.
-// Detectors fill it via DetectTimedCtx so the telemetry layer can
-// attribute the vehicle-scan budget to sub-stages.
-type ScanTimings struct {
-	Resize    time.Duration // pyramid level resizing
-	Feature   time.Duration // gradient + cell-histogram feature maps
-	Prefilter time.Duration // haar prefilter integral images
-	Blocks    time.Duration // block L2Hys normalization (block grids)
-	Response  time.Duration // per-level anchor lattice setup and validation
-	Windows   time.Duration // window scoring + detection assembly
-	Temporal  time.Duration // tile fingerprinting + dirty-mask dilation
-	// TileHits/TileMisses/TileRefreshes are the temporal cache's tile
-	// accounting for this scan (all zero without a cache): reused,
-	// content-changed, and no-comparable-fingerprint tiles.
-	TileHits      int
-	TileMisses    int
-	TileRefreshes int
-	// BlockPath reports whether the block-response fast path ran.
-	BlockPath bool
-	// TemporalPath reports whether a temporal cache served the scan.
-	TemporalPath bool
-}
-
-// scanPositions counts the window positions of a scan axis.
-func scanPositions(size, win, stride int) int {
-	if size < win {
-		return 0
-	}
-	return (size-win)/stride + 1
-}
-
-// run scans every pyramid level of g with the given worker count,
-// returning detections in deterministic level-major, raster order.
+// HOG.Extract crop fallback.
 //
 // lint:hotpath
-func (s hogScan) run(ctx context.Context, g *img.Gray, workers int) ([]Detection, error) {
-	return s.runTimed(ctx, g, workers, nil)
-}
-
-// runTimed is run with optional per-stage wall-clock attribution
-// (tm may be nil; it is written only on success).
-func (s hogScan) runTimed(ctx context.Context, g *img.Gray, workers int, tm *ScanTimings) (dets []Detection, err error) {
+func (d *HOGDetector) scan(ctx context.Context, g *img.Gray, workers int, tm *ScanTimings) (dets []Detection, err error) {
 	workers = par.Workers(workers)
 	sc := borrowScanScratch()
 	defer releaseScanScratch(sc)
-	tc := s.Temporal
+	tc := d.Temporal
 	if tc != nil {
 		// An abandoned scan (cancellation, validation failure) leaves
 		// cached grids out of step with the already-updated tile
@@ -138,12 +108,12 @@ func (s hogScan) runTimed(ctx context.Context, g *img.Gray, workers int, tm *Sca
 	if timed {
 		last = time.Now()
 	}
-	lap := func(d *time.Duration) {
+	lap := func(stage *time.Duration) {
 		if !timed {
 			return
 		}
 		now := time.Now()
-		*d += now.Sub(last)
+		*stage += now.Sub(last)
 		last = now
 	}
 
@@ -152,7 +122,7 @@ func (s hogScan) runTimed(ctx context.Context, g *img.Gray, workers int, tm *Sca
 	// is always the source size, so it aliases the frame itself instead
 	// of copying it — the scan only reads levels, and the alias is
 	// swapped back out before the scratch returns to the pool.
-	sizes := img.PyramidSizes(g.W, g.H, s.Scale, s.WinW, s.WinH)
+	sizes := img.PyramidSizes(g.W, g.H, d.Scale, d.WinW, d.WinH)
 	nl := len(sizes)
 	sc.setLevels(nl)
 	// The per-level stack lives in the pooled scratch — or, with a
@@ -162,11 +132,11 @@ func (s hogScan) runTimed(ctx context.Context, g *img.Gray, workers int, tm *Sca
 	maps, grids := sc.maps, sc.grids
 	if tc != nil {
 		tc.begin(temporalSig{
-			model: s.Model, cfg: s.Cfg,
-			winW: s.WinW, winH: s.WinH, stride: s.Stride,
-			scale: s.Scale, thresh: s.Thresh,
-			noBlock: s.NoBlockResponse,
-			pref:    s.Prefilter, w: g.W, h: g.H,
+			model: d.Model, cfg: d.HOG,
+			winW: d.WinW, winH: d.WinH, stride: d.Stride,
+			scale: d.Scale, thresh: d.DetectThresh,
+			kind: d.Kind, noBlock: d.NoBlockResponse,
+			w: g.W, h: g.H,
 		}, nl)
 		maps, grids = tc.maps, tc.grids
 	}
@@ -187,19 +157,14 @@ func (s hogScan) runTimed(ctx context.Context, g *img.Gray, workers int, tm *Sca
 
 	// The fast path applies when every scan position is cell-aligned,
 	// so each window's blocks exist in the level block grid.
-	cell := s.Cfg.CellSize
-	bw, bh := s.Cfg.BlocksFor(s.WinW, s.WinH)
-	blockLen := s.Cfg.BlockCells * s.Cfg.BlockCells * s.Cfg.Bins
-	useBlocks := !s.NoBlockResponse && s.Stride%cell == 0 && bw > 0 && bh > 0 &&
-		sc.bm.Init(s.Model, bw, bh, blockLen) == nil
+	cell := d.HOG.CellSize
+	bw, bh := d.HOG.BlocksFor(d.WinW, d.WinH)
+	blockLen := d.HOG.BlockCells * d.HOG.BlockCells * d.HOG.Bins
+	useBlocks := !d.NoBlockResponse && d.Stride%cell == 0 && bw > 0 && bh > 0 &&
+		sc.bm.Init(d.Model, bw, bh, blockLen) == nil
 	// An Init mismatch (model length vs window geometry) falls through
 	// to the descriptor path, where Model.Margin reports the wiring
 	// bug exactly as it always has.
-	usePref := false
-	if s.Prefilter != nil {
-		pw, ph := s.Prefilter.Window()
-		usePref = pw == s.WinW && ph == s.WinH
-	}
 
 	// Stage 2: per level, one shared feature cache (row-parallel); on
 	// the fast path also the normalized block grid, computed once per
@@ -213,7 +178,7 @@ func (s hogScan) runTimed(ctx context.Context, g *img.Gray, workers int, tm *Sca
 		// recomputed (full — also the only mode without a cache).
 		mode := tcFull
 		if tc != nil {
-			mode = tc.observe(i, level, s.Cfg)
+			mode = tc.observe(i, level, d.HOG)
 			lap(&t.Temporal)
 		}
 		switch mode {
@@ -221,11 +186,11 @@ func (s hogScan) runTimed(ctx context.Context, g *img.Gray, workers int, tm *Sca
 			// Every tile fingerprint matched: the cached feature map is
 			// bitwise what ComputeCtx would produce.
 		case tcPartial:
-			if err := fm.ComputeDirtyCtx(ctx, s.Cfg, level, workers, tc.cellMask); err != nil {
+			if err := fm.ComputeDirtyCtx(ctx, d.HOG, level, workers, tc.cellMask); err != nil {
 				return nil, err
 			}
 		default:
-			if err := fm.ComputeCtx(ctx, s.Cfg, level, workers, &sc.hs); err != nil {
+			if err := fm.ComputeCtx(ctx, d.HOG, level, workers, &sc.hs); err != nil {
 				return nil, err
 			}
 		}
@@ -235,15 +200,11 @@ func (s hogScan) runTimed(ctx context.Context, g *img.Gray, workers int, tm *Sca
 		// lattice.
 		sc.lats[i] = svm.Lattice{}
 		sc.nax[i] = 0
-		if usePref && level.W >= s.WinW && level.H >= s.WinH {
-			sc.its[i].Compute(level)
-			lap(&t.Prefilter)
-		}
 		if !useBlocks {
 			continue
 		}
-		nax := scanPositions(level.W, s.WinW, s.Stride)
-		nay := scanPositions(level.H, s.WinH, s.Stride)
+		nax := scanPositions(level.W, d.WinW, d.Stride)
+		nay := scanPositions(level.H, d.WinH, d.Stride)
 		if nax == 0 || nay == 0 {
 			continue
 		}
@@ -252,9 +213,9 @@ func (s hogScan) runTimed(ctx context.Context, g *img.Gray, workers int, tm *Sca
 		case tcClean:
 			// Cached grid current; nothing to normalize.
 		case tcPartial:
-			cw, ch := s.Cfg.CellsFor(level.W, level.H)
+			cw, ch := d.HOG.CellsFor(level.W, level.H)
 			pnbx, pnby := bg.Dims()
-			tc.dirtyBlocks(s.Cfg, cw, ch, pnbx, pnby)
+			tc.dirtyBlocks(d.HOG, cw, ch, pnbx, pnby)
 			if err := bg.ComputeDirtyCtx(ctx, fm, workers, tc.blockMask[:pnbx*pnby]); err != nil {
 				return nil, err
 			}
@@ -267,9 +228,9 @@ func (s hogScan) runTimed(ctx context.Context, g *img.Gray, workers int, tm *Sca
 		nbx, nby := bg.Dims()
 		lat := svm.Lattice{
 			NBX: nbx, NBY: nby,
-			StepX: s.Stride / cell, StepY: s.Stride / cell,
+			StepX: d.Stride / cell, StepY: d.Stride / cell,
 			NAX: nax, NAY: nay,
-			BlockStride: s.Cfg.BlockStride,
+			BlockStride: d.HOG.BlockStride,
 		}
 		if err := sc.bm.CheckLattice(lat, len(bg.Data())); err != nil {
 			return nil, err
@@ -287,24 +248,24 @@ func (s hogScan) runTimed(ctx context.Context, g *img.Gray, workers int, tm *Sca
 	// assembly order is independent of worker scheduling.
 	nt := 0
 	for i := 0; i < nl; i++ {
-		if sc.levels[i].W < s.WinW {
+		if sc.levels[i].W < d.WinW {
 			continue
 		}
-		nt += scanPositions(sc.levels[i].H, s.WinH, s.Stride)
+		nt += scanPositions(sc.levels[i].H, d.WinH, d.Stride)
 	}
 	tasks, results := sc.setTasks(nt)
 	k := 0
 	for i := 0; i < nl; i++ {
 		level := sc.levels[i]
-		if level.W < s.WinW {
+		if level.W < d.WinW {
 			continue
 		}
-		for y := 0; y+s.WinH <= level.H; y += s.Stride {
+		for y := 0; y+d.WinH <= level.H; y += d.Stride {
 			tasks[k] = rowTask{i, y}
 			k++
 		}
 	}
-	descLen := s.Cfg.DescriptorLen(s.WinW, s.WinH)
+	descLen := d.HOG.DescriptorLen(d.WinW, d.WinH)
 	// Window-row reuse: with a cache holding the previous scan's rows
 	// (same signature, so the task list is identical), any row whose
 	// inputs are untouched this frame produces byte-identical
@@ -316,7 +277,7 @@ func (s hogScan) runTimed(ctx context.Context, g *img.Gray, workers int, tm *Sca
 		func() *rowScratch { return new(rowScratch) },
 		func(ti int, rs *rowScratch) {
 			rt := tasks[ti]
-			if serveRows && tc.rowServable(s.Cfg, rt.level, rt.y, s.WinH, sc.nax[rt.level] > 0, bh) {
+			if serveRows && tc.rowServable(d.HOG, rt.level, rt.y, d.WinH, sc.nax[rt.level] > 0, bh) {
 				results[ti] = tc.rowDets[ti]
 				return
 			}
@@ -328,21 +289,14 @@ func (s hogScan) runTimed(ctx context.Context, g *img.Gray, workers int, tm *Sca
 				return img.Rect{
 					X0: int(float64(x) * fx),
 					Y0: int(float64(rt.y) * fy),
-					X1: int(float64(x+s.WinW) * fx),
-					Y1: int(float64(rt.y+s.WinH) * fy),
+					X1: int(float64(x+d.WinW) * fx),
+					Y1: int(float64(rt.y+d.WinH) * fy),
 				}
-			}
-			var it *haar.Integral
-			if usePref {
-				it = sc.its[rt.level]
-			}
-			pass := func(x int) bool {
-				return it == nil || s.Prefilter.AcceptAt(it, x, rt.y)
 			}
 			if nax := sc.nax[rt.level]; nax > 0 {
 				// Block-response fast path: zero copies, zero
 				// normalization, zero allocation per window.
-				ay := rt.y / s.Stride
+				ay := rt.y / d.Stride
 				lat := sc.lats[rt.level]
 				blocks := grids[rt.level].Data()
 				// Per-window reuse inside a partially dirty level: a
@@ -358,12 +312,12 @@ func (s hogScan) runTimed(ctx context.Context, g *img.Gray, workers int, tm *Sca
 				if rowPartial {
 					cached = tc.rowDets[ti]
 				}
-				spanCX := (bw-1)*s.Cfg.BlockStride + s.Cfg.BlockCells
-				if p := (s.WinW + cell - 1) / cell; p > spanCX {
+				spanCX := (bw-1)*d.HOG.BlockStride + d.HOG.BlockCells
+				if p := (d.WinW + cell - 1) / cell; p > spanCX {
 					spanCX = p
 				}
-				spanCY := (bh-1)*s.Cfg.BlockStride + s.Cfg.BlockCells
-				if p := (s.WinH + cell - 1) / cell; p > spanCY {
+				spanCY := (bh-1)*d.HOG.BlockStride + d.HOG.BlockCells
+				if p := (d.WinH + cell - 1) / cell; p > spanCY {
 					spanCY = p
 				}
 				cy0 := rt.y / cell
@@ -378,7 +332,7 @@ func (s hogScan) runTimed(ctx context.Context, g *img.Gray, workers int, tm *Sca
 					// Cached rows are in ascending-x order and box is a
 					// pure function of ax, so a pointer walk pairs this
 					// window with its previous detection, if any.
-					x0 := int(float64(ax*s.Stride) * fx)
+					x0 := int(float64(ax*d.Stride) * fx)
 					for cj < len(cached) && cached[cj].Box.X0 < x0 {
 						cj++
 					}
@@ -397,31 +351,25 @@ func (s hogScan) runTimed(ctx context.Context, g *img.Gray, workers int, tm *Sca
 					if serve(ax) {
 						continue
 					}
-					if !pass(ax * s.Stride) {
-						continue
-					}
-					m, rejected := sc.bm.EarlyMarginAt(blocks, lat, ax, ay, s.Thresh, rs.partial[:bw*bh])
-					if !rejected && m > s.Thresh {
-						dets = append(dets, Detection{Box: box(ax * s.Stride), Score: m, Kind: s.Kind}) // lint:alloc detections are rare post-threshold events; no useful pre-size exists
+					m, rejected := sc.bm.EarlyMarginAt(blocks, lat, ax, ay, d.DetectThresh, rs.partial[:bw*bh])
+					if !rejected && m > d.DetectThresh {
+						dets = append(dets, Detection{Box: box(ax * d.Stride), Score: m, Kind: d.Kind}) // lint:alloc detections are rare post-threshold events; no useful pre-size exists
 					}
 				}
 			} else {
-				for x := 0; x+s.WinW <= level.W; x += s.Stride {
-					if !pass(x) {
-						continue
-					}
+				for x := 0; x+d.WinW <= level.W; x += d.Stride {
 					if cap(rs.desc) < descLen {
 						rs.desc = make([]float64, descLen) // lint:alloc once per worker per scan
 					}
-					desc := fm.Descriptor(x, rt.y, s.WinW, s.WinH, rs.desc[:descLen])
+					desc := fm.Descriptor(x, rt.y, d.WinW, d.WinH, rs.desc[:descLen])
 					if desc == nil {
 						// Window off the cell grid (stride not a
 						// multiple of the cell size, or partial border
 						// cells): fall back to direct extraction.
-						desc = s.Cfg.Extract(level.SubImage(img.Rect{X0: x, Y0: rt.y, X1: x + s.WinW, Y1: rt.y + s.WinH}))
+						desc = d.HOG.Extract(level.SubImage(img.Rect{X0: x, Y0: rt.y, X1: x + d.WinW, Y1: rt.y + d.WinH}))
 					}
-					if m := s.Model.Margin(desc); m > s.Thresh {
-						dets = append(dets, Detection{Box: box(x), Score: m, Kind: s.Kind}) // lint:alloc detections are rare post-threshold events; no useful pre-size exists
+					if m := d.Model.Margin(desc); m > d.DetectThresh {
+						dets = append(dets, Detection{Box: box(x), Score: m, Kind: d.Kind}) // lint:alloc detections are rare post-threshold events; no useful pre-size exists
 					}
 				}
 			}

@@ -13,13 +13,13 @@ import (
 // trainPed trains the static-partition pedestrian model. Like the
 // paper's static pipeline, one model serves every lighting condition,
 // so it is trained on a mixed day/dusk/dark crop set.
-func trainPed(t *testing.T, seed uint64) *PedestrianDetector {
+func trainPed(t *testing.T, seed uint64) *HOGDetector {
 	t.Helper()
 	day := synth.PedestrianDataset(seed, PedWindowW, PedWindowH, 50, 50, synth.Day)
 	dusk := synth.PedestrianDataset(seed+1, PedWindowW, PedWindowH, 30, 30, synth.Dusk)
 	dark := synth.PedestrianDataset(seed+2, PedWindowW, PedWindowH, 30, 30, synth.Dark)
 	ds := CombineDatasets("ped-all", CombineDatasets("ped-dd", day, dusk), dark)
-	m, err := TrainPedestrianSVM(ds, hog.DefaultConfig(), svm.DefaultOptions())
+	m, err := TrainCropSVM(ds, hog.DefaultConfig(), PedWindowW, PedWindowH, svm.DefaultOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -43,14 +43,6 @@ func TestPedestrianWorksAtNightToo(t *testing.T) {
 	c := eval.EvaluateCrops(det.ClassifyCrop, test.Pos, test.Neg)
 	if c.Accuracy() < 0.6 {
 		t.Fatalf("night pedestrian accuracy %v: %v", c.Accuracy(), c)
-	}
-}
-
-func TestPedestrianClassifyCropResizes(t *testing.T) {
-	det := trainPed(t, 5)
-	big := img.RGBToGray(synth.PedestrianCrop(synth.NewRNG(6), 64, 128, synth.Day))
-	if !det.ClassifyCrop(big) {
-		t.Fatal("64x128 pedestrian crop rejected")
 	}
 }
 

@@ -3,21 +3,19 @@ package pipeline
 import (
 	"sync"
 
-	"advdet/internal/haar"
 	"advdet/internal/hog"
 	"advdet/internal/img"
 	"advdet/internal/svm"
 )
 
-// scanScratch owns every reusable buffer of one hogScan.run
-// invocation: pyramid levels, per-level feature maps, block grids,
-// anchor lattices and prefilter integrals, and the task/result
-// arenas. A scratch is borrowed from a process-wide pool for the
-// duration of one scan and returned afterwards, so the
-// steady-state frame loop recomputes everything per frame but
-// allocates (almost) nothing — the software equivalent of the PL's
-// statically provisioned HOG/Normalized-HOG memories, which are
-// rewritten every frame and never reallocated.
+// scanScratch owns every reusable buffer of one HOGDetector scan:
+// pyramid levels, per-level feature maps, block grids, anchor
+// lattices, and the task/result arenas. A scratch is borrowed from a
+// process-wide pool for the duration of one scan and returned
+// afterwards, so the steady-state frame loop recomputes everything per
+// frame but allocates (almost) nothing — the software equivalent of
+// the PL's statically provisioned HOG/Normalized-HOG memories, which
+// are rewritten every frame and never reallocated.
 //
 // Nothing borrowed from the pool escapes a scan: detections handed to
 // the caller are always freshly assembled.
@@ -25,7 +23,6 @@ type scanScratch struct {
 	levels  []*img.Gray
 	maps    []*hog.FeatureMap
 	grids   []*hog.BlockGrid
-	its     []*haar.Integral
 	hs      hog.Scratch
 	bm      svm.BlockModel
 	lats    []svm.Lattice // per-level anchor lattices (valid when nax > 0)
@@ -84,9 +81,6 @@ func (s *scanScratch) setLevels(n int) {
 	}
 	for len(s.grids) < n {
 		s.grids = append(s.grids, new(hog.BlockGrid))
-	}
-	for len(s.its) < n {
-		s.its = append(s.its, new(haar.Integral))
 	}
 	for len(s.lats) < n {
 		s.lats = append(s.lats, svm.Lattice{})

@@ -1,7 +1,6 @@
 package pipeline
 
 import (
-	"advdet/internal/haar"
 	"advdet/internal/hog"
 	"advdet/internal/img"
 	"advdet/internal/svm"
@@ -94,7 +93,7 @@ type temporalSig struct {
 	winW, winH, stride int
 	scale, thresh      float64
 	noBlock            bool
-	pref               *haar.Cascade
+	kind               Kind
 	w, h               int
 }
 
@@ -260,9 +259,9 @@ func (tc *TemporalCache) dirtyBlocks(c hog.Config, cw, ch, nbx, nby int) {
 // bitwise current. The row is servable when its level is wholly clean,
 // or when none of the cell rows its windows read is dirty this frame —
 // the larger of the block span (block row b reads cell rows [b,
-// b+BlockCells)) and the raw pixel span (descriptor fallback and haar
-// prefilter both read window pixels, whose dirt the tile-to-cell halo
-// maps onto the covering cell rows). Row granularity is conservative —
+// b+BlockCells)) and the raw pixel span (the descriptor fallback reads
+// window pixels, whose dirt the tile-to-cell halo maps onto the
+// covering cell rows). Row granularity is conservative —
 // the whole cell-row band must be clean, not just the window's columns
 // — an O(1) prefix query; stage 3 falls back to per-window queries
 // when the band is dirty but individual windows sit clear of it.

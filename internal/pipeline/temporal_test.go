@@ -13,10 +13,10 @@ import (
 // compose with, byte for byte.
 var tcScanKinds = []struct {
 	name string
-	set  func(d *DayDuskDetector)
+	set  func(d *HOGDetector)
 }{
-	{"early", func(d *DayDuskDetector) {}},
-	{"descriptor", func(d *DayDuskDetector) { d.NoBlockResponse = true }},
+	{"early", func(d *HOGDetector) {}},
+	{"descriptor", func(d *HOGDetector) { d.NoBlockResponse = true }},
 }
 
 // mutateRect perturbs the pixels of r in place, deterministically from

@@ -102,11 +102,11 @@ func TrainDetectorsOpts(seed uint64, opts ...TrainOption) (Detectors, error) {
 	dayDS := synth.DayDataset(seed, 64, 64, nTrain, nTrain)
 	duskDS := synth.DuskDataset(seed+1, 64, 64, nTrain, nTrain, 0)
 
-	dayModel, err := pipeline.TrainVehicleSVM(dayDS, hogCfg, svmOpts)
+	dayModel, err := pipeline.TrainCropSVM(dayDS, hogCfg, pipeline.VehicleWindow, pipeline.VehicleWindow, svmOpts)
 	if err != nil {
 		return Detectors{}, err
 	}
-	duskModel, err := pipeline.TrainVehicleSVM(duskDS, hogCfg, svmOpts)
+	duskModel, err := pipeline.TrainCropSVM(duskDS, hogCfg, pipeline.VehicleWindow, pipeline.VehicleWindow, svmOpts)
 	if err != nil {
 		return Detectors{}, err
 	}
@@ -116,7 +116,7 @@ func TrainDetectorsOpts(seed uint64, opts ...TrainOption) (Detectors, error) {
 	pedDark := synth.PedestrianDataset(seed+4, pipeline.PedWindowW, pipeline.PedWindowH, nTrain*3/8, nTrain*3/8, synth.Dark)
 	pedAll := pipeline.CombineDatasets("ped-all",
 		pipeline.CombineDatasets("ped-dd", pedDay, pedDusk), pedDark)
-	pedModel, err := pipeline.TrainPedestrianSVM(pedAll, hogCfg, svmOpts)
+	pedModel, err := pipeline.TrainCropSVM(pedAll, hogCfg, pipeline.PedWindowW, pipeline.PedWindowH, svmOpts)
 	if err != nil {
 		return Detectors{}, err
 	}
