@@ -192,7 +192,7 @@ func TestMetricsSnapshotEndToEnd(t *testing.T) {
 		t.Fatal(err)
 	}
 	const frames = 16
-	drops := 0
+	drops, darkScans := 0, 0
 	for i := 0; i < frames; i++ {
 		cond := Day
 		switch {
@@ -208,9 +208,15 @@ func TestMetricsSnapshotEndToEnd(t *testing.T) {
 		if res.VehicleDropped {
 			drops++
 		}
+		if res.Cond == Dark && !res.VehicleDropped && !res.VehicleStale {
+			darkScans++
+		}
 	}
 	if drops != 1 {
 		t.Fatalf("drive dropped %d vehicle frames, want 1", drops)
+	}
+	if darkScans == 0 {
+		t.Fatal("no frame ran the dark pipeline")
 	}
 
 	var snap MetricsSnapshot = sys.Snapshot()
@@ -261,19 +267,35 @@ func TestMetricsSnapshotEndToEnd(t *testing.T) {
 			t.Fatalf("%s count %d (present %v), want one per HOG scan (%d)", name, st.Count, ok, resize.Count)
 		}
 	}
+	// Every dark frame reports each dark stage once.
+	for _, name := range []string{"dark-preprocess", "dark-dbn", "dark-pair"} {
+		if st, ok := snap.StageByName(name); !ok || st.Count != uint64(darkScans) {
+			t.Fatalf("%s count %d (present %v), want one per dark frame (%d)", name, st.Count, ok, darkScans)
+		}
+	}
+	if st, _ := snap.StageByName("dark-preprocess"); st.WallNSTotal == 0 {
+		t.Fatal("dark-preprocess recorded no wall time")
+	}
 	var js bytes.Buffer
 	if err := snap.WriteJSON(&js); err != nil {
 		t.Fatal(err)
 	}
-	if !strings.Contains(js.String(), `"scan-blocks"`) {
-		t.Fatalf("JSON export missing the scan-blocks stage:\n%s", js.String())
+	for _, stage := range []string{"scan-blocks", "dark-dbn"} {
+		if !strings.Contains(js.String(), `"`+stage+`"`) {
+			t.Fatalf("JSON export missing the %s stage:\n%s", stage, js.String())
+		}
 	}
 	var prom bytes.Buffer
 	if err := sys.Metrics().WriteProm(&prom); err != nil {
 		t.Fatal(err)
 	}
-	if want := fmt.Sprintf(`advdet_stage_invocations_total{stage="scan-blocks"} %d`, resize.Count); !strings.Contains(prom.String(), want) {
-		t.Fatalf("Prometheus export missing %q:\n%s", want, prom.String())
+	for _, want := range []string{
+		fmt.Sprintf(`advdet_stage_invocations_total{stage="scan-blocks"} %d`, resize.Count),
+		fmt.Sprintf(`advdet_stage_invocations_total{stage="dark-dbn"} %d`, darkScans),
+	} {
+		if !strings.Contains(prom.String(), want) {
+			t.Fatalf("Prometheus export missing %q:\n%s", want, prom.String())
+		}
 	}
 }
 

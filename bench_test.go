@@ -8,6 +8,8 @@ package advdet
 
 import (
 	"context"
+	"fmt"
+	"runtime"
 	"sync"
 	"testing"
 
@@ -131,14 +133,21 @@ func BenchmarkFig2DayDuskPipeline(b *testing.B) {
 
 // BenchmarkFig34DarkPipeline runs the full dark pipeline (threshold,
 // downsample, closing, DBN scan, pair matching) over a 640x360 night
-// frame.
+// frame, serially and on GOMAXPROCS workers.
 func BenchmarkFig34DarkPipeline(b *testing.B) {
 	_, dark, _ := benchDetectors(b)
 	sc := synth.RenderScene(synth.NewRNG(10),
 		synth.SceneConfig{W: 640, H: 360, Cond: synth.Dark, NumVehicles: 2, RoadLights: 3, OncomingHeadlights: 1})
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		dark.Detect(sc.Frame)
+	ctx := context.Background()
+	for _, workers := range []int{1, runtime.GOMAXPROCS(0)} {
+		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, err := dark.DetectCtx(ctx, sc.Frame, workers); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }
 

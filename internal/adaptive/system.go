@@ -643,12 +643,18 @@ func (s *System) ProcessFrameCtx(ctx context.Context, sc *synth.Scene) (FrameRes
 // detectVehicles dispatches to the condition's detector on the shared
 // worker pool. With metrics enabled, the HOG scans additionally report
 // per-stage wall time through the scan-* stages, attributing the
-// vehicle-scan budget to the block-response engine's sub-stages.
+// vehicle-scan budget to the block-response engine's sub-stages, and
+// the dark pipeline reports its dark-* stages.
 func (s *System) detectVehicles(ctx context.Context, sc *synth.Scene, cond synth.Condition) ([]pipeline.Detection, error) {
 	gray := func() *img.Gray { return img.RGBToGray(sc.Frame) }
 	var tm *pipeline.ScanTimings
+	var dtm *pipeline.DarkTimings
 	if s.metrics != nil {
-		tm = new(pipeline.ScanTimings)
+		if cond == synth.Dark {
+			dtm = new(pipeline.DarkTimings) // taillight-based, not a HOG scan
+		} else {
+			tm = new(pipeline.ScanTimings)
+		}
 	}
 	dets, err := func() ([]pipeline.Detection, error) {
 		switch cond {
@@ -662,13 +668,17 @@ func (s *System) detectVehicles(ctx context.Context, sc *synth.Scene, cond synth
 			}
 		case synth.Dark:
 			if s.Dets.Dark != nil {
-				tm = nil // dark pipeline is taillight-based, not a HOG scan
-				return s.Dets.Dark.DetectCtx(ctx, sc.Frame, s.grant)
+				return s.Dets.Dark.DetectTimedCtx(ctx, sc.Frame, s.grant, dtm)
 			}
 		}
-		tm = nil
+		tm, dtm = nil, nil
 		return nil, nil
 	}()
+	if err == nil && dtm != nil {
+		s.metrics.StageObserve(metrics.StageDarkPreprocess, 0, uint64(dtm.Preprocess))
+		s.metrics.StageObserve(metrics.StageDarkDBN, 0, uint64(dtm.DBN))
+		s.metrics.StageObserve(metrics.StageDarkPair, 0, uint64(dtm.Pair))
+	}
 	if err == nil && tm != nil {
 		s.metrics.StageObserve(metrics.StageScanResize, 0, uint64(tm.Resize))
 		s.metrics.StageObserve(metrics.StageScanFeature, 0, uint64(tm.Feature))

@@ -138,15 +138,45 @@ func Train(X [][]float64, labels []int, cfg Config, rng rbm.RNG) (*Network, erro
 	return n, nil
 }
 
-// forward runs the network, returning all layer activations; acts[0]
-// is the input, acts[len(Sizes)-1] the top hidden layer, and the
-// returned probs are the softmax class probabilities.
-func (n *Network) forward(x []float64) (acts [][]float64, probs []float64) {
-	acts = make([][]float64, len(n.Sizes))
+// Activations is caller-owned storage for one forward pass: a slice
+// per layer above the input plus the output logits and probabilities.
+// Reusing one per goroutine makes window classification allocation-
+// free. The zero value is ready for use; it sizes itself to the
+// network on first use.
+type Activations struct {
+	layers [][]float64 // layers[0] aliases the input; layers[l] has Sizes[l] entries
+	logits [NumClasses]float64
+	probs  [NumClasses]float64
+}
+
+// fit sizes a for n's topology, reusing its slices when they match.
+func (a *Activations) fit(n *Network) {
+	if len(a.layers) != len(n.Sizes) {
+		a.layers = make([][]float64, len(n.Sizes))
+	}
+	for l := 1; l < len(n.Sizes); l++ {
+		if len(a.layers[l]) != n.Sizes[l] {
+			a.layers[l] = make([]float64, n.Sizes[l])
+		}
+	}
+}
+
+// forward runs the network into a, returning all layer activations;
+// acts[0] is the input, acts[len(Sizes)-1] the top hidden layer, and
+// the returned probs are the softmax class probabilities. Both alias a.
+//
+// lint:hotpath
+func (n *Network) forward(x []float64, a *Activations) (acts [][]float64, probs []float64) {
+	if len(x) != n.Sizes[0] {
+		// lint:invariant window length is fixed by the trained topology; mismatch is a wiring bug
+		panic(fmt.Sprintf("dbn: input length %d, want %d", len(x), n.Sizes[0])) // lint:alloc cold panic path; fires only on a wiring bug
+	}
+	a.fit(n)
+	acts = a.layers
 	acts[0] = x
 	for l := 0; l+1 < len(n.Sizes); l++ {
 		in := acts[l]
-		out := make([]float64, n.Sizes[l+1])
+		out := acts[l+1]
 		w := n.W[l]
 		nvl := n.Sizes[l]
 		for h := range out {
@@ -157,10 +187,9 @@ func (n *Network) forward(x []float64) (acts [][]float64, probs []float64) {
 			}
 			out[h] = 1 / (1 + math.Exp(-s))
 		}
-		acts[l+1] = out
 	}
 	top := acts[len(acts)-1]
-	logits := make([]float64, NumClasses)
+	logits := a.logits[:]
 	tw := len(top)
 	maxL := math.Inf(-1)
 	for c := 0; c < NumClasses; c++ {
@@ -175,7 +204,7 @@ func (n *Network) forward(x []float64) (acts [][]float64, probs []float64) {
 		}
 	}
 	var sum float64
-	probs = make([]float64, NumClasses)
+	probs = a.probs[:]
 	for c, l := range logits {
 		probs[c] = math.Exp(l - maxL)
 		sum += probs[c]
@@ -188,17 +217,22 @@ func (n *Network) forward(x []float64) (acts [][]float64, probs []float64) {
 
 // Probs returns the class probabilities for a window.
 func (n *Network) Probs(x []float64) []float64 {
-	if len(x) != n.Sizes[0] {
-		// lint:invariant window length is fixed by the trained topology; mismatch is a wiring bug
-		panic(fmt.Sprintf("dbn: input length %d, want %d", len(x), n.Sizes[0]))
-	}
-	_, p := n.forward(x)
+	_, p := n.forward(x, new(Activations))
 	return p
 }
 
 // Classify returns the most probable class and its probability.
 func (n *Network) Classify(x []float64) (class int, prob float64) {
-	p := n.Probs(x)
+	return n.ClassifyInto(x, new(Activations))
+}
+
+// ClassifyInto is Classify computing into the caller's activation
+// buffers, so a sliding-window sweep that reuses one Activations per
+// worker classifies without allocating.
+//
+// lint:hotpath
+func (n *Network) ClassifyInto(x []float64, buf *Activations) (class int, prob float64) {
+	_, p := n.forward(x, buf)
 	best := 0
 	for c := 1; c < len(p); c++ {
 		if p[c] > p[best] {
@@ -209,7 +243,8 @@ func (n *Network) Classify(x []float64) (class int, prob float64) {
 }
 
 // fineTune runs stochastic-gradient backpropagation with cross-entropy
-// loss through the softmax and sigmoid layers.
+// loss through the softmax and sigmoid layers. Its activation and
+// delta buffers are allocated once and reused for every sample.
 func (n *Network) fineTune(X [][]float64, labels []int, cfg Config, rng rbm.RNG) {
 	nSamples := len(X)
 	order := make([]int, nSamples)
@@ -217,6 +252,14 @@ func (n *Network) fineTune(X [][]float64, labels []int, cfg Config, rng rbm.RNG)
 		order[i] = i
 	}
 	top := n.Sizes[len(n.Sizes)-1]
+	var buf Activations
+	dOut := make([]float64, NumClasses)
+	// deltas[l] holds dL/d(activations of layer l) for the hidden
+	// layers l >= 1.
+	deltas := make([][]float64, len(n.Sizes))
+	for l := 1; l < len(n.Sizes); l++ {
+		deltas[l] = make([]float64, n.Sizes[l])
+	}
 	for epoch := 0; epoch < cfg.FineTuneIter; epoch++ {
 		// Shuffle with the shared RNG for determinism.
 		for i := nSamples - 1; i > 0; i-- {
@@ -229,16 +272,16 @@ func (n *Network) fineTune(X [][]float64, labels []int, cfg Config, rng rbm.RNG)
 		lr := cfg.FineTuneLR / (1 + 0.05*float64(epoch))
 		for _, idx := range order {
 			x, label := X[idx], labels[idx]
-			acts, probs := n.forward(x)
+			acts, probs := n.forward(x, &buf)
 			topAct := acts[len(acts)-1]
 
 			// Softmax output delta: p - onehot(label).
-			dOut := make([]float64, NumClasses)
 			copy(dOut, probs)
 			dOut[label] -= 1
 
 			// Delta for the top hidden layer.
-			dHidden := make([]float64, top)
+			dHidden := deltas[len(n.Sizes)-1]
+			clear(dHidden)
 			for c := 0; c < NumClasses; c++ {
 				row := n.OutW[c*top : (c+1)*top]
 				for i := range dHidden {
@@ -266,7 +309,8 @@ func (n *Network) fineTune(X [][]float64, labels []int, cfg Config, rng rbm.RNG)
 				}
 				var prev []float64
 				if l > 0 {
-					prev = make([]float64, nvl)
+					prev = deltas[l]
+					clear(prev)
 					for h := range delta {
 						row := n.W[l][h*nvl : (h+1)*nvl]
 						for i := range prev {

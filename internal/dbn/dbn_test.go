@@ -85,6 +85,30 @@ func TestProbsSumToOne(t *testing.T) {
 	}
 }
 
+// TestClassifyIntoMatchesClassify checks that classifying into one
+// reused Activations gives bitwise the same class and probability as
+// the allocating Classify on every training window, and that the
+// buffer refits when it moves to a network of another topology.
+func TestClassifyIntoMatchesClassify(t *testing.T) {
+	X, labels := synth.TaillightWindowSet(8, 12)
+	small := quickConfig()
+	small.Hidden = []int{12}
+	var buf Activations
+	for _, cfg := range []Config{quickConfig(), small, quickConfig()} {
+		n, err := Train(X, labels, cfg, synth.NewRNG(9))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, x := range X {
+			wc, wp := n.Classify(x)
+			gc, gp := n.ClassifyInto(x, &buf)
+			if gc != wc || math.Float64bits(gp) != math.Float64bits(wp) {
+				t.Fatalf("hidden %v window %d: ClassifyInto (%d, %v), Classify (%d, %v)", cfg.Hidden, i, gc, gp, wc, wp)
+			}
+		}
+	}
+}
+
 func TestProbsPanicsOnWrongLength(t *testing.T) {
 	X, labels := synth.TaillightWindowSet(6, 4)
 	n, err := Train(X, labels, quickConfig(), synth.NewRNG(7))

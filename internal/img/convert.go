@@ -14,6 +14,15 @@ func clamp8(v int32) uint8 {
 	return uint8(v)
 }
 
+// lumaFix and crFix are the BT.601 luma and (unbiased) red-chroma
+// expressions, coefficients scaled by 2^16 with rounding as in the
+// image/color standard-library conversion. RGBToYCbCr, RGBToGray and
+// the fused LightMask kernel share them, so every path computes the
+// same bits.
+func lumaFix(r, g, b int32) int32 { return (19595*r + 38470*g + 7471*b + 1<<15) >> 16 }
+
+func crFix(r, g, b int32) int32 { return (32768*r - 27440*g - 5328*b + 1<<15) >> 16 }
+
 // RGBToYCbCr converts an interleaved RGB image to planar full-range
 // BT.601 YCbCr.
 func RGBToYCbCr(m *RGB) *YCbCr {
@@ -23,16 +32,42 @@ func RGBToYCbCr(m *RGB) *YCbCr {
 		r := int32(m.Pix[3*i])
 		g := int32(m.Pix[3*i+1])
 		b := int32(m.Pix[3*i+2])
-		// Coefficients scaled by 2^16 with rounding, as in the
-		// image/color standard-library conversion.
-		y := (19595*r + 38470*g + 7471*b + 1<<15) >> 16
-		cb := (-11056*r - 21712*g + 32768*b + 1<<15>>0) >> 16
-		cr := (32768*r - 27440*g - 5328*b + 1<<15) >> 16
-		out.Y[i] = clamp8(y)
+		cb := (-11056*r - 21712*g + 32768*b + 1<<15) >> 16
+		out.Y[i] = clamp8(lumaFix(r, g, b))
 		out.Cb[i] = clamp8(cb + 128)
-		out.Cr[i] = clamp8(cr + 128)
+		out.Cr[i] = clamp8(crFix(r, g, b) + 128)
 	}
 	return out
+}
+
+// LightMask writes the dark pipeline's light-source mask of m into dst
+// (resized to m's dimensions, reusing its pixel buffer): a pixel is
+// foreground when its luma is at least lumaT and, with chroma set, its
+// Cr lies in [crLo, crHi]. It is RGBToYCbCr followed by DualThreshold
+// (or by Threshold on the luma plane without chroma) fused into one
+// pass that computes only Y and Cr and allocates no planes; the
+// expressions are the same, so the mask is bitwise identical.
+//
+// lint:hotpath
+func LightMask(dst *Binary, m *RGB, lumaT uint8, chroma bool, crLo, crHi uint8) {
+	dst.Reset(m.W, m.H)
+	pix := m.Pix[:3*len(dst.Pix)]
+	out := dst.Pix
+	for i := range out {
+		r := int32(pix[3*i])
+		g := int32(pix[3*i+1])
+		b := int32(pix[3*i+2])
+		v := uint8(0)
+		if clamp8(lumaFix(r, g, b)) >= lumaT {
+			v = 1
+			if chroma {
+				if cr := clamp8(crFix(r, g, b) + 128); cr < crLo || cr > crHi {
+					v = 0
+				}
+			}
+		}
+		out[i] = v
+	}
 }
 
 // YCbCrToRGB converts planar full-range BT.601 YCbCr back to
@@ -62,7 +97,7 @@ func RGBToGray(m *RGB) *Gray {
 		r := int32(m.Pix[3*i])
 		g := int32(m.Pix[3*i+1])
 		b := int32(m.Pix[3*i+2])
-		out.Pix[i] = clamp8((19595*r + 38470*g + 7471*b + 1<<15) >> 16)
+		out.Pix[i] = clamp8(lumaFix(r, g, b))
 	}
 	return out
 }

@@ -174,6 +174,22 @@ func NewBinary(w, h int) *Binary {
 	return &Binary{W: w, H: h, Pix: make([]uint8, w*h)}
 }
 
+// Reset resizes b to w x h, reusing its pixel buffer when the capacity
+// suffices. The pixel contents are unspecified afterwards; callers
+// overwrite them.
+func (b *Binary) Reset(w, h int) {
+	if w <= 0 || h <= 0 {
+		// lint:invariant documented contract: dimensions must be positive
+		panic(fmt.Sprintf("img: invalid Binary size %dx%d", w, h)) // lint:alloc cold panic path; fires only on an invariant violation
+	}
+	b.W, b.H = w, h
+	if cap(b.Pix) < w*h {
+		b.Pix = make([]uint8, w*h)
+	} else {
+		b.Pix = b.Pix[:w*h]
+	}
+}
+
 // At returns the bit at (x, y).
 func (b *Binary) At(x, y int) uint8 { return b.Pix[y*b.W+x] }
 

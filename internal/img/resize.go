@@ -119,29 +119,43 @@ func ResizeRGB(m *RGB, w, h int) *RGB {
 // DownsampleBinary reduces b by an integer factor using an OR-reduce
 // over each factor x factor tile: a tile is foreground if any source
 // pixel is. This is the decimation the dark-pipeline RTL applies after
-// thresholding, chosen so that small taillight blobs survive.
+// thresholding, chosen so that small taillight blobs survive. The
+// result is always a fresh image.
 func DownsampleBinary(b *Binary, factor int) *Binary {
+	if factor == 1 {
+		return b.Clone()
+	}
+	return DownsampleBinaryInto(new(Binary), b, factor)
+}
+
+// DownsampleBinaryInto is DownsampleBinary writing into dst (resized,
+// its pixel buffer reused; dst must not alias b). It returns the
+// decimated map: dst, or b itself when factor is 1, since an identity
+// decimation has nothing to write.
+//
+// lint:hotpath
+func DownsampleBinaryInto(dst, b *Binary, factor int) *Binary {
 	if factor <= 0 {
 		// lint:invariant the decimation factor is a pipeline constant; non-positive is a caller bug
 		panic("img: DownsampleBinary non-positive factor")
 	}
 	if factor == 1 {
-		return b.Clone()
+		return b
 	}
 	w := (b.W + factor - 1) / factor
 	h := (b.H + factor - 1) / factor
-	out := NewBinary(w, h)
+	dst.Reset(w, h)
+	clear(dst.Pix)
 	for y := 0; y < b.H; y++ {
-		oy := y / factor
-		row := y * b.W
-		orow := oy * w
-		for x := 0; x < b.W; x++ {
-			if b.Pix[row+x] != 0 {
-				out.Pix[orow+x/factor] = 1
+		row := b.Pix[y*b.W : (y+1)*b.W]
+		orow := dst.Pix[(y/factor)*w : (y/factor+1)*w]
+		for x, v := range row {
+			if v != 0 {
+				orow[x/factor] = 1
 			}
 		}
 	}
-	return out
+	return dst
 }
 
 // PyramidSizes returns the level dimensions of an image pyramid over

@@ -11,16 +11,20 @@ import (
 // steady-state contract of the scan engine: functions reachable on the
 // call graph from `// lint:hotpath` roots (pipeline.HOGDetector.scan, the
 // hog.BlockGrid/svm.BlockModel compute paths, the metrics record
-// paths) run once or thousands of times per frame, and PR 5's pooled
-// scratch design keeps them allocation-free. The analyzer freezes that
-// property by flagging allocating constructs inside every hot
-// function:
+// paths, the dark pipeline's preprocess and scanLights with the
+// img.LightMask/DownsampleBinaryInto/Morph.Close kernels and
+// dbn.Network.ClassifyInto) run once or thousands of times per frame,
+// and the pooled scratch design keeps them allocation-free. The
+// analyzer freezes that property by flagging allocating constructs
+// inside every hot function:
 //
 //   - un-pre-sized append growth (append whose destination is neither
 //     a make-with-capacity local nor inside a cap/len-guarded
 //     amortization),
 //   - map and slice literals and make(map...) — make([]T, n, cap)
 //     stays allowed: explicit sizing is the sanctioned pattern,
+//     except inside a loop body outside a cap/len guard, where it
+//     allocates once per iteration,
 //   - closures capturing loop variables (one closure + captured cell
 //     per iteration),
 //   - any fmt.* call (interface boxing + formatting state),
@@ -84,6 +88,7 @@ func inSpans(pos token.Pos, spans []span) bool {
 func checkHotFunc(p *Pass, node *FuncNode) {
 	presized := presizedSlices(p, node)
 	guards := capGuardSpans(p, node.Body)
+	loops := loopBodySpans(node.Body)
 	capReported := map[string]bool{}
 
 	var walk func(n ast.Node) bool
@@ -113,23 +118,41 @@ func checkHotFunc(p *Pass, node *FuncNode) {
 				return false
 			}
 		case *ast.CallExpr:
-			checkHotCall(p, n, presized, guards)
+			checkHotCall(p, n, presized, guards, loops)
 		}
 		return true
 	}
 	ast.Inspect(node.Body, walk)
 }
 
+// loopBodySpans collects the bodies of the for and range statements in
+// body (function literals excluded: they are separate nodes).
+func loopBodySpans(body ast.Node) []span {
+	var out []span
+	ast.Inspect(body, func(n ast.Node) bool {
+		switch n := n.(type) {
+		case *ast.FuncLit:
+			return false
+		case *ast.ForStmt:
+			out = append(out, span{lo: n.Body.Pos(), hi: n.Body.End()})
+		case *ast.RangeStmt:
+			out = append(out, span{lo: n.Body.Pos(), hi: n.Body.End()})
+		}
+		return true
+	})
+	return out
+}
+
 // checkHotCall reports allocating call forms: append/make misuse,
 // fmt.*, and empty-interface boxing of concrete arguments.
-func checkHotCall(p *Pass, call *ast.CallExpr, presized map[types.Object]bool, guards []span) {
+func checkHotCall(p *Pass, call *ast.CallExpr, presized map[types.Object]bool, guards, loops []span) {
 	if id, ok := call.Fun.(*ast.Ident); ok {
 		if b, isBuiltin := p.Info.Uses[id].(*types.Builtin); isBuiltin {
 			switch b.Name() {
 			case "append":
 				checkAppend(p, call, presized, guards)
 			case "make":
-				checkMake(p, call)
+				checkMake(p, call, guards, loops)
 			}
 			return
 		}
@@ -162,7 +185,7 @@ func checkAppend(p *Pass, call *ast.CallExpr, presized map[types.Object]bool, gu
 	}
 }
 
-func checkMake(p *Pass, call *ast.CallExpr) {
+func checkMake(p *Pass, call *ast.CallExpr, guards, loops []span) {
 	if len(call.Args) == 0 {
 		return
 	}
@@ -172,11 +195,17 @@ func checkMake(p *Pass, call *ast.CallExpr) {
 	}
 	// make([]T, n) / make([]T, 0, cap) is the sanctioned pre-sizing
 	// pattern (the size comes from the geometry), so only maps — whose
-	// assembly also risks ordered iteration later — are flagged here.
+	// assembly also risks ordered iteration later — are flagged here,
+	// plus any make repeated by a loop that no cap/len check guards:
+	// a per-window or per-row buffer belongs in pooled scratch.
 	if _, isMap := t.Underlying().(*types.Map); isMap {
 		if !allocAllowed(p, call.Pos()) {
 			p.Reportf(call.Pos(), "make(map) allocates in a hot path; use a fixed arena or annotate // lint:alloc <reason>")
 		}
+		return
+	}
+	if inSpans(call.Pos(), loops) && !inSpans(call.Pos(), guards) && !allocAllowed(p, call.Pos()) {
+		p.Reportf(call.Pos(), "make inside a loop allocates every iteration in a hot path; hoist it into reused scratch or annotate // lint:alloc <reason>")
 	}
 }
 

@@ -26,8 +26,8 @@
 //     goroutine fan-out loops check their context,
 //   - hotpathalloc: functions reachable from `// lint:hotpath` roots
 //     stay free of allocating constructs (un-pre-sized appends,
-//     map/slice literals, fmt.*, boxing into interface{}, closures
-//     capturing loop variables),
+//     map/slice literals, unguarded make inside loops, fmt.*, boxing
+//     into interface{}, closures capturing loop variables),
 //   - goroutinelife: every `go` statement in a library package must be
 //     joined (WaitGroup.Wait or a channel receive) in the spawning
 //     function or a call-graph ancestor,

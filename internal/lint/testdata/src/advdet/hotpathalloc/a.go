@@ -30,6 +30,8 @@ func describe(r []float64) float64 {
 	s := 0.0
 	for _, v := range r {
 		s += v
+		window := make([]float64, 4) // want "make inside a loop allocates every iteration in a hot path"
+		_ = window
 	}
 	return s
 }
@@ -45,6 +47,12 @@ func closures(n int) {
 	if cap(buf) < n {
 		buf = make([]int, 0, n)
 		buf = append(buf, n) // cap-guarded amortization: clean
+	}
+	rows := make([][]int, n) // sized from the geometry, outside any loop: clean
+	for i := range rows {
+		if cap(rows[i]) < n {
+			rows[i] = make([]int, n) // cap-guarded growth inside a loop: clean
+		}
 	}
 	cold := fmt.Sprintf("grew to %d", cap(buf)) // lint:alloc cold resize path, runs only on geometry change
 	// lint:alloc

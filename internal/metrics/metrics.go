@@ -61,6 +61,13 @@ const (
 	// (wall time only; the dispatcher is host-side software with no
 	// simulated-hardware counterpart).
 	StageFleetDispatch
+	// StageDarkPreprocess, StageDarkDBN and StageDarkPair attribute one
+	// dark-pipeline frame's wall time to the stages of Figs. 3–4: the
+	// light mask, decimation and closing; the DBN window sweep; and
+	// lamp pairing.
+	StageDarkPreprocess
+	StageDarkDBN
+	StageDarkPair
 	// NumStages bounds the stage space.
 	NumStages
 )
@@ -71,6 +78,7 @@ var stageNames = [NumStages]string{
 	"scan-resize", "scan-feature", "scan-blocks", "scan-response", "scan-windows",
 	"scan-temporal",
 	"fleet-dispatch",
+	"dark-preprocess", "dark-dbn", "dark-pair",
 }
 
 func (s Stage) String() string {

@@ -13,7 +13,8 @@ func TestStageNames(t *testing.T) {
 	want := []string{"sense", "model-select", "vehicle-scan",
 		"pedestrian-scan", "dma-stream", "reconfig", "reconfig-fault",
 		"scan-resize", "scan-feature", "scan-blocks", "scan-response",
-		"scan-windows", "scan-temporal", "fleet-dispatch"}
+		"scan-windows", "scan-temporal", "fleet-dispatch",
+		"dark-preprocess", "dark-dbn", "dark-pair"}
 	for i, w := range want {
 		if got := Stage(i).String(); got != w {
 			t.Fatalf("Stage(%d) = %q, want %q", i, got, w)

@@ -4,6 +4,8 @@ import (
 	"context"
 	"fmt"
 	"math"
+	"sync/atomic"
+	"time"
 
 	"advdet/internal/dbn"
 	"advdet/internal/img"
@@ -101,18 +103,25 @@ func (c DarkConfig) FactorFor(w int) int {
 // Preprocess runs the front half of the pipeline — split channels,
 // dual threshold, downsample, closing — returning the binary map the
 // DBN scans. Exposed so the SoC model and ablation benches can tap the
-// intermediate result.
+// intermediate result; the map is the caller's own copy.
 func (d *DarkDetector) Preprocess(frame *img.RGB) *img.Binary {
-	c := img.RGBToYCbCr(frame)
-	var b *img.Binary
-	if d.Cfg.UseChroma {
-		b = img.DualThreshold(c, d.Cfg.LumaThresh, d.Cfg.CrLow, d.Cfg.CrHigh)
-	} else {
-		b = img.Threshold(c.Luma(), d.Cfg.LumaThresh)
-	}
-	b = img.DownsampleBinary(b, d.Cfg.FactorFor(frame.W))
+	sc := borrowDarkScratch()
+	defer releaseDarkScratch(sc)
+	return d.preprocess(sc, frame).Clone()
+}
+
+// preprocess computes the DBN's input map into sc and returns it (one
+// of sc's buffers). The fused mask kernel replaces the YCbCr planes,
+// the two threshold maps and their AND; a factor-1 decimation reads
+// the mask in place; the closing runs in place on the decimated map.
+// Every stage computes the same bits as the plane-by-plane chain.
+//
+// lint:hotpath
+func (d *DarkDetector) preprocess(sc *darkScratch, frame *img.RGB) *img.Binary {
+	img.LightMask(&sc.mask, frame, d.Cfg.LumaThresh, d.Cfg.UseChroma, d.Cfg.CrLow, d.Cfg.CrHigh)
+	b := img.DownsampleBinaryInto(&sc.dec, &sc.mask, d.Cfg.FactorFor(frame.W))
 	if d.Cfg.UseClosing {
-		b = img.Close(b, d.Cfg.CloseRadius)
+		sc.morph.Close(b, b, d.Cfg.CloseRadius)
 	}
 	return b
 }
@@ -156,67 +165,89 @@ func (d *DarkDetector) ScanLightsStats(b *img.Binary) ([]Light, ScanStats) {
 // light list is identical for every worker count. On cancellation it
 // returns the context's error.
 func (d *DarkDetector) ScanLightsStatsCtx(ctx context.Context, b *img.Binary, workers int) ([]Light, ScanStats, error) {
-	side := dbn.Window
-	var ys []int
-	for y := 0; y+side <= b.H; y += d.Cfg.Stride {
-		ys = append(ys, y)
-	}
-	rowHits := make([][]Light, len(ys))
-	rowStats := make([]ScanStats, len(ys))
-	err := par.ForEach(ctx, workers, len(ys), func(i int) {
-		y := ys[i]
-		window := make([]float64, side*side)
-		var st ScanStats
-		var hits []Light
-		for x := 0; x+side <= b.W; x += d.Cfg.Stride {
-			st.Windows++
-			// ROI gate: skip windows with no foreground at all (the
-			// RTL gates the DBN the same way to hold 50 fps).
-			count := 0
-			for wy := 0; wy < side; wy++ {
-				row := (y + wy) * b.W
-				for wx := 0; wx < side; wx++ {
-					v := b.Pix[row+x+wx]
-					window[wy*side+wx] = float64(v)
-					count += int(v)
+	sc := borrowDarkScratch()
+	defer releaseDarkScratch(sc)
+	return d.scanLights(ctx, sc, b, workers)
+}
+
+// scanLights is the DBN sweep over b with sc's buffers. The ROI gate
+// (the RTL gates the DBN the same way to hold 50 fps) skips windows
+// with no foreground at all; it reads each window's foreground sum from
+// a summed-area table of b, exact in integers, so only the windows it
+// passes gather their 81 inputs. Classification runs into per-worker
+// window and activation buffers.
+//
+// lint:hotpath
+func (d *DarkDetector) scanLights(ctx context.Context, sc *darkScratch, b *img.Binary, workers int) ([]Light, ScanStats, error) {
+	const side = dbn.Window
+	stride := d.Cfg.Stride
+	ny := scanPositions(b.H, side, stride)
+	sat := sc.integral(b)
+	w1 := b.W + 1
+	rows, rowStats := sc.setRows(ny)
+	locals := sc.setLocals(par.Workers(workers))
+	var next atomic.Int32
+	err := par.ForEachLocal(ctx, workers, ny,
+		func() *darkLocal { return locals[next.Add(1)-1] },
+		func(i int, loc *darkLocal) {
+			y := i * stride
+			top, bot := sat[y*w1:], sat[(y+side)*w1:]
+			window := loc.window
+			hits := rows[i][:0]
+			var st ScanStats
+			for x := 0; x+side <= b.W; x += stride {
+				st.Windows++
+				if bot[x+side]-bot[x]-top[x+side]+top[x] == 0 {
+					continue
 				}
+				st.Evaluated++
+				for wy := 0; wy < side; wy++ {
+					row := b.Pix[(y+wy)*b.W+x : (y+wy)*b.W+x+side]
+					for wx, v := range row {
+						window[wy*side+wx] = float64(v)
+					}
+				}
+				class, prob := d.Net.ClassifyInto(window, &loc.acts)
+				if class == dbn.ClassNone || prob < d.Cfg.MinProb {
+					continue
+				}
+				st.Hits++
+				hits = append(hits, Light{ // lint:alloc a few hits per frame; the row slot keeps its capacity across frames
+					Box:   img.Rect{X0: x, Y0: y, X1: x + side, Y1: y + side},
+					Class: class,
+					Prob:  prob,
+				})
 			}
-			if count == 0 {
-				continue
-			}
-			st.Evaluated++
-			class, prob := d.Net.Classify(window)
-			if class == dbn.ClassNone || prob < d.Cfg.MinProb {
-				continue
-			}
-			st.Hits++
-			hits = append(hits, Light{
-				Box:   img.Rect{X0: x, Y0: y, X1: x + side, Y1: y + side},
-				Class: class,
-				Prob:  prob,
-			})
-		}
-		rowHits[i], rowStats[i] = hits, st
-	})
+			rows[i], rowStats[i] = hits, st
+		})
 	if err != nil {
 		return nil, ScanStats{}, err
 	}
-	var hits []Light
+	hits := sc.hits[:0]
 	var stats ScanStats
-	for i := range rowHits {
-		hits = append(hits, rowHits[i]...)
+	for i := range rows {
+		hits = append(hits, rows[i]...) // lint:alloc the frame's hit arena grows to its high-water mark once
 		stats.Windows += rowStats[i].Windows
 		stats.Evaluated += rowStats[i].Evaluated
 		stats.Hits += rowStats[i].Hits
 	}
-	return mergeLights(hits), stats, nil
+	sc.hits = hits
+	if cap(sc.used) < len(hits) {
+		sc.used = make([]bool, len(hits))
+	}
+	return mergeLights(hits, sc.used[:len(hits)]), stats, nil
 }
 
 // mergeLights unions overlapping window hits into one candidate per
-// lamp, keeping the highest-probability class.
-func mergeLights(hits []Light) []Light {
-	var out []Light
-	used := make([]bool, len(hits))
+// lamp, keeping the highest-probability class. used is scratch of
+// len(hits); the returned lights are freshly allocated (nil for no
+// hits).
+func mergeLights(hits []Light, used []bool) []Light {
+	if len(hits) == 0 {
+		return nil
+	}
+	out := make([]Light, 0, len(hits))
+	clear(used)
 	for i := range hits {
 		if used[i] {
 			continue
@@ -250,6 +281,13 @@ func mergeLights(hits []Light) []Light {
 // candidate lamp pair: vertical misalignment, separation relative to
 // lamp size, size ratio, and class agreement.
 func PairFeatures(a, b Light) []float64 {
+	f := pairFeatures(a, b)
+	return f[:]
+}
+
+// pairFeatures is PairFeatures as a value, so the pairing loop scores
+// candidates without allocating a feature slice each.
+func pairFeatures(a, b Light) [4]float64 {
 	acx, acy := a.Box.Center()
 	bcx, bcy := b.Box.Center()
 	meanW := float64(a.Box.W()+b.Box.W()) / 2
@@ -264,7 +302,7 @@ func PairFeatures(a, b Light) []float64 {
 	sep := math.Abs(float64(acx-bcx)) / meanW
 	sizeRatio := math.Log(float64(a.Box.Area()+1) / float64(b.Box.Area()+1))
 	classDiff := math.Abs(float64(a.Class - b.Class))
-	return []float64{dy, sep, math.Abs(sizeRatio), classDiff}
+	return [4]float64{dy, sep, math.Abs(sizeRatio), classDiff}
 }
 
 // geometricPairGate is the ablation baseline: fixed thresholds on the
@@ -285,13 +323,44 @@ func (d *DarkDetector) Detect(frame *img.RGB) []Detection {
 // the DBN sliding-window stage (workers <= 0 means GOMAXPROCS). Output is
 // identical for every worker count.
 func (d *DarkDetector) DetectCtx(ctx context.Context, frame *img.RGB, workers int) ([]Detection, error) {
-	factor := d.Cfg.FactorFor(frame.W)
-	b := d.Preprocess(frame)
-	lights, _, err := d.ScanLightsStatsCtx(ctx, b, workers)
+	return d.DetectTimedCtx(ctx, frame, workers, nil)
+}
+
+// DarkTimings breaks one dark frame into the wall-clock stages of
+// Figs. 3–4: the front half (mask, decimation, closing), the DBN
+// window sweep, and lamp pairing.
+type DarkTimings struct {
+	Preprocess time.Duration
+	DBN        time.Duration
+	Pair       time.Duration
+}
+
+// DetectTimedCtx is DetectCtx that also reports per-stage wall time
+// into tm when tm is non-nil; tm is written only on success. One
+// pooled scratch serves the whole frame, so a steady-state frame
+// allocates only its output.
+func (d *DarkDetector) DetectTimedCtx(ctx context.Context, frame *img.RGB, workers int, tm *DarkTimings) ([]Detection, error) {
+	sc := borrowDarkScratch()
+	defer releaseDarkScratch(sc)
+	now := func() time.Time {
+		if tm == nil {
+			return time.Time{}
+		}
+		return time.Now()
+	}
+	t0 := now()
+	b := d.preprocess(sc, frame)
+	t1 := now()
+	lights, _, err := d.scanLights(ctx, sc, b, workers)
 	if err != nil {
 		return nil, fmt.Errorf("pipeline: dark detect: %w", err)
 	}
-	return d.pairLights(lights, frame, factor), nil
+	t2 := now()
+	dets := d.pairLights(lights, frame, d.Cfg.FactorFor(frame.W))
+	if tm != nil {
+		*tm = DarkTimings{Preprocess: t1.Sub(t0), DBN: t2.Sub(t1), Pair: time.Since(t2)}
+	}
+	return dets, nil
 }
 
 // pairLights runs the spatial-correlation back half of the pipeline:
@@ -310,14 +379,14 @@ func (d *DarkDetector) pairLights(lights []Light, frame *img.RGB, factor int) []
 			if math.Abs(float64(acx-ccx)) > d.Cfg.MaxPairDistFactor*meanW {
 				continue
 			}
-			f := PairFeatures(a, c)
+			f := pairFeatures(a, c)
 			var ok bool
 			var score float64
 			if d.Cfg.UsePairSVM && d.PairSVM != nil {
-				score = d.PairSVM.Margin(f)
+				score = d.PairSVM.Margin(f[:])
 				ok = score > 0
 			} else {
-				ok = d.geometricPairGate(f)
+				ok = d.geometricPairGate(f[:])
 				score = 1
 			}
 			if !ok {

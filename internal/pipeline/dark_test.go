@@ -1,6 +1,10 @@
 package pipeline
 
 import (
+	"context"
+	"reflect"
+	"runtime"
+	"sync"
 	"testing"
 
 	"advdet/internal/dbn"
@@ -262,7 +266,7 @@ func TestMergeLights(t *testing.T) {
 		{Box: img.Rect{X0: 2, Y0: 0, X1: 11, Y1: 9}, Class: 2, Prob: 0.9},
 		{Box: img.Rect{X0: 40, Y0: 40, X1: 49, Y1: 49}, Class: 1, Prob: 0.7},
 	}
-	merged := mergeLights(hits)
+	merged := mergeLights(hits, make([]bool, len(hits)))
 	if len(merged) != 2 {
 		t.Fatalf("merged to %d lights, want 2", len(merged))
 	}
@@ -309,4 +313,80 @@ func TestDarkDetectorOnSceneFrame(t *testing.T) {
 	if detected < trials/2 {
 		t.Fatalf("scene-level dark detection hit %d/%d", detected, trials)
 	}
+}
+
+// TestDarkSteadyStateAllocs is the dark path's allocation gate: after
+// warm-up, a 640x360 night frame through DetectCtx allocates only a
+// frame-constant amount (the pooled scratch handles every map, table,
+// arena and activation buffer) within the scan path's 40-object
+// budget, at every worker count. The budget sits far below one
+// allocation per window row (~176 rows) or per evaluated window.
+func TestDarkSteadyStateAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race-detector instrumentation allocates")
+	}
+	det := quickDark(t, 0)
+	frame := synth.NightHighway(15, 640, 360, 36).FrameAt(7).Frame
+	ctx := context.Background()
+	for _, wc := range []struct {
+		name    string
+		workers int
+	}{{"serial", 1}, {"two", 2}, {"gomaxprocs", runtime.GOMAXPROCS(0)}} {
+		workers := wc.workers
+		t.Run(wc.name, func(t *testing.T) {
+			if _, err := det.DetectCtx(ctx, frame, workers); err != nil {
+				t.Fatal(err)
+			}
+			allocs := testing.AllocsPerRun(20, func() {
+				if _, err := det.DetectCtx(ctx, frame, workers); err != nil {
+					t.Fatal(err)
+				}
+			})
+			const maxAllocs = 40
+			if allocs > maxAllocs {
+				t.Fatalf("steady-state dark frame allocates %.0f objects, want <= %d", allocs, maxAllocs)
+			}
+			t.Logf("%.0f allocations per frame", allocs)
+		})
+	}
+}
+
+// TestDarkDetectConcurrentStreams runs one DarkDetector from several
+// goroutines at once, as an Engine's streams do, on frames of
+// different sizes: each call must borrow its own pooled scratch, so
+// every result matches the serial one.
+func TestDarkDetectConcurrentStreams(t *testing.T) {
+	det := quickDark(t, 0)
+	night := synth.NightHighway(21, 640, 360, 36)
+	frames := []*img.RGB{night.FrameAt(2).Frame, night.FrameAt(40).Frame}
+	for s := uint64(0); s < 4; s++ {
+		frames = append(frames, synth.VehicleCrop(synth.NewRNG(1000+s), 96, 96, synth.Dark))
+	}
+	ctx := context.Background()
+	want := make([][]Detection, len(frames))
+	for i, f := range frames {
+		want[i] = det.Detect(f)
+	}
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for round := 0; round < 3; round++ {
+				for k := range frames {
+					i := (k + g) % len(frames)
+					got, err := det.DetectCtx(ctx, frames[i], 2)
+					if err != nil {
+						t.Error(err)
+						return
+					}
+					if !reflect.DeepEqual(got, want[i]) {
+						t.Errorf("goroutine %d frame %d: concurrent detections differ from serial", g, i)
+						return
+					}
+				}
+			}
+		}()
+	}
+	wg.Wait()
 }

@@ -3,6 +3,7 @@ package pipeline
 import (
 	"sync"
 
+	"advdet/internal/dbn"
 	"advdet/internal/hog"
 	"advdet/internal/img"
 	"advdet/internal/svm"
@@ -116,4 +117,82 @@ func growI32(buf []int32, n int) []int32 {
 		return make([]int32, n)
 	}
 	return buf[:n]
+}
+
+// darkScratch owns every reusable buffer of one dark-pipeline frame:
+// the light mask, the decimated map and the closing's temporaries, the
+// summed-area table the ROI gate reads, the per-row hit and stat
+// arenas, and one window-plus-activations buffer per worker. Like
+// scanScratch it is borrowed from a process-wide pool for one frame,
+// never stored on the DarkDetector (an Engine's streams share one
+// detector), and nothing borrowed escapes: lights and detections are
+// freshly assembled.
+type darkScratch struct {
+	mask, dec img.Binary
+	morph     img.Morph
+	sat       []int32
+	rows      [][]Light
+	stats     []ScanStats
+	hits      []Light
+	used      []bool
+	locals    []*darkLocal
+}
+
+// darkLocal is one worker's DBN input window and activation buffers.
+type darkLocal struct {
+	window []float64
+	acts   dbn.Activations
+}
+
+var darkPool = sync.Pool{New: func() any { return new(darkScratch) }}
+
+func borrowDarkScratch() *darkScratch { return darkPool.Get().(*darkScratch) }
+
+func releaseDarkScratch(s *darkScratch) {
+	darkPool.Put(s) // lint:alloc sync.Pool.Put boxes once per frame, not per window
+}
+
+// integral fills the summed-area table of b: entry (y, x) of the
+// (W+1)x(H+1) table is the pixel sum over [0, x) x [0, y). Go's integer
+// arithmetic wraps, so sums are exact modulo 2^32 and a window's
+// four-corner difference is exact for any window holding fewer than
+// 2^31 / 255 pixels, whatever the map's size.
+func (s *darkScratch) integral(b *img.Binary) []int32 {
+	w1 := b.W + 1
+	s.sat = growI32(s.sat, w1*(b.H+1))
+	sat := s.sat
+	clear(sat[:w1])
+	for y := 0; y < b.H; y++ {
+		prev := sat[y*w1 : (y+1)*w1]
+		cur := sat[(y+1)*w1 : (y+2)*w1]
+		cur[0] = 0
+		var run int32
+		for x, v := range b.Pix[y*b.W : (y+1)*b.W] {
+			run += int32(v)
+			cur[x+1] = prev[x+1] + run
+		}
+	}
+	return sat
+}
+
+// setRows sizes the per-row hit and stat arenas for n window rows.
+// Hit slots keep their capacity across frames and are truncated by the
+// row that fills them.
+func (s *darkScratch) setRows(n int) ([][]Light, []ScanStats) {
+	for len(s.rows) < n {
+		s.rows = append(s.rows, nil)
+	}
+	if cap(s.stats) < n {
+		s.stats = make([]ScanStats, n)
+	}
+	s.stats = s.stats[:n]
+	return s.rows[:n], s.stats
+}
+
+// setLocals readies n per-worker buffers.
+func (s *darkScratch) setLocals(n int) []*darkLocal {
+	for len(s.locals) < n {
+		s.locals = append(s.locals, &darkLocal{window: make([]float64, dbn.Window*dbn.Window)})
+	}
+	return s.locals[:n]
 }

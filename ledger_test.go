@@ -129,35 +129,45 @@ func TestDetectionsByteIdenticalWithLedger(t *testing.T) {
 }
 
 // TestProcessFrameAllocsWithLedger is the hot-path alloc gate with the
-// ledger enabled: a steady-state frame — scan included — must stay
-// within the scan path's 40-object budget; the ledger feed (reused
-// encode buffer, arena-backed chain) must not add per-frame
-// allocations on top.
+// ledger enabled: a steady-state frame — vehicle scan included, on the
+// HOG path by day and the dark pipeline at night — must stay within
+// the scan path's 40-object budget; the ledger feed (reused encode
+// buffer, arena-backed chain) must not add per-frame allocations on
+// top.
 func TestProcessFrameAllocsWithLedger(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race-detector instrumentation allocates")
 	}
 	d := getDets(t)
-	led := NewLedger(LedgerConfig{})
-	sys, err := NewSystem(d, WithLedger(led))
-	if err != nil {
-		t.Fatal(err)
-	}
-	sc := RenderScene(500, 160, 90, Day)
-	// Warm the pools: first frames grow every buffer to steady state.
-	for i := 0; i < 8; i++ {
-		if _, err := sys.ProcessFrame(sc); err != nil {
-			t.Fatal(err)
-		}
-	}
-	allocs := testing.AllocsPerRun(20, func() {
-		if _, err := sys.ProcessFrame(sc); err != nil {
-			t.Fatal(err)
-		}
-	})
-	const maxAllocs = 40
-	if allocs > maxAllocs {
-		t.Fatalf("steady-state frame with ledger allocates %.0f objects, want <= %d", allocs, maxAllocs)
+	for _, tc := range []struct {
+		name string
+		cond Condition
+	}{{"day", Day}, {"dark", Dark}} {
+		t.Run(tc.name, func(t *testing.T) {
+			led := NewLedger(LedgerConfig{})
+			sys, err := NewSystem(d, WithLedger(led), WithInitial(tc.cond))
+			if err != nil {
+				t.Fatal(err)
+			}
+			sc := RenderScene(500, 160, 90, tc.cond)
+			// Warm the pools: first frames grow every buffer to steady
+			// state.
+			for i := 0; i < 8; i++ {
+				if _, err := sys.ProcessFrame(sc); err != nil {
+					t.Fatal(err)
+				}
+			}
+			allocs := testing.AllocsPerRun(20, func() {
+				if _, err := sys.ProcessFrame(sc); err != nil {
+					t.Fatal(err)
+				}
+			})
+			const maxAllocs = 40
+			if allocs > maxAllocs {
+				t.Fatalf("steady-state %s frame with ledger allocates %.0f objects, want <= %d", tc.name, allocs, maxAllocs)
+			}
+			t.Logf("%.0f allocations per frame", allocs)
+		})
 	}
 }
 
