@@ -17,7 +17,12 @@ import (
 // synthetic scene generator's sensor model (see TestEstimateLux):
 // ~15 luma ≈ 5 lux (dark), ~130 luma ≈ 15000 lux (day).
 func EstimateLux(frame *img.RGB) float64 {
-	g := img.RGBToGray(frame)
+	return luxFromGray(img.RGBToGray(frame))
+}
+
+// luxFromGray is EstimateLux over the frame's gray image, which the
+// frame path already holds in its HOG stack.
+func luxFromGray(g *img.Gray) float64 {
 	var sum, n float64
 	for _, p := range g.Pix {
 		if p >= 240 {

@@ -139,7 +139,11 @@ func (s *System) requestReconfig(target ConfigID) {
 	s.pending = true
 	s.pendTarget = target
 	s.retries = 0
-	s.invalidateTemporalCaches()
+	// The hardware analogue of a persistent stack (BRAM line buffers
+	// in the vehicle partition) does not survive a fabric rewrite, and
+	// the frame dropped during reconfiguration breaks the
+	// consecutive-frame premise of its dirty-tile deltas.
+	s.frame.Invalidate()
 	s.recIdx = len(s.stats.Reconfigs)
 	s.stats.Reconfigs = append(s.stats.Reconfigs, Reconfiguration{
 		Frame:   s.frameIdx,

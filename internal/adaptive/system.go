@@ -8,7 +8,6 @@ import (
 
 	"advdet/internal/fault"
 	"advdet/internal/fpga"
-	"advdet/internal/img"
 	"advdet/internal/ledger"
 	"advdet/internal/metrics"
 	"advdet/internal/pipeline"
@@ -50,49 +49,6 @@ type Detectors struct {
 	Dusk       *pipeline.HOGDetector
 	Dark       *pipeline.DarkDetector
 	Pedestrian *pipeline.HOGDetector
-}
-
-// hogSlots returns pointers to the HOG detector slots: day, dusk and
-// pedestrian.
-func (d *Detectors) hogSlots() []**pipeline.HOGDetector {
-	return []**pipeline.HOGDetector{&d.Day, &d.Dusk, &d.Pedestrian}
-}
-
-// withScanOptions applies the system-level scan flags to the HOG
-// detectors by shallow-cloning the affected ones: Detectors values are
-// shared across streams of one engine (and the models across engines),
-// so the per-system flags must never write through the shared
-// pointers.
-func (d Detectors) withScanOptions(opt Options) Detectors {
-	if !opt.ScanTemporalCache {
-		return d
-	}
-	// Each clone gets its OWN temporal cache: a cache binds a detector
-	// to one frame sequence, so sharing one across streams (or across
-	// the day/dusk/pedestrian scans of one stream, which see different
-	// pyramids) would poison it every frame.
-	for _, slot := range d.hogSlots() {
-		if *slot != nil {
-			c := **slot
-			c.Temporal = pipeline.NewTemporalCache()
-			*slot = &c
-		}
-	}
-	return d
-}
-
-// invalidateTemporalCaches drops every per-detector temporal scan
-// cache. Called when a partial reconfiguration is requested: the
-// hardware analogue (persistent BRAM line buffers in the vehicle
-// partition) does not survive a fabric rewrite, and the frame dropped
-// during reconfiguration breaks the consecutive-frame contract the
-// cache's dirty-tile deltas assume.
-func (s *System) invalidateTemporalCaches() {
-	for _, slot := range s.Dets.hogSlots() {
-		if *slot != nil && (*slot).Temporal != nil {
-			(*slot).Temporal.Invalidate()
-		}
-	}
 }
 
 // Options configures the system.
@@ -137,12 +93,13 @@ type Options struct {
 	// loop. The zero value selects DefaultRetryPolicy; zero fields are
 	// filled from it.
 	Retry RetryPolicy
-	// ScanTemporalCache reuses each HOG detector's feature/block
-	// stack across consecutive frames, recomputing only what
-	// each frame's dirty tiles invalidate (byte-identical output; see
-	// pipeline.NewTemporalCache). Every detector clone gets its own
-	// cache, so the option is safe across streams sharing Detectors.
-	// Caches are invalidated whenever a partial reconfiguration is
+	// ScanTemporalCache keeps the stream's HOG stack across
+	// consecutive frames, recomputing only what each frame's dirty
+	// tiles invalidate, and serves each HOG detector's unchanged window
+	// rows from its own row cache (byte-identical output; see
+	// pipeline.NewFrameStack). The stack and row caches belong to the
+	// System, so the option is safe across streams sharing Detectors.
+	// The stack is invalidated whenever a partial reconfiguration is
 	// requested.
 	ScanTemporalCache bool
 	// EventSinks subscribes consumers to the unified typed event
@@ -284,6 +241,14 @@ type System struct {
 	sinks  []EventSink
 	led    *ledger.Ledger
 	ledBuf []byte
+
+	// frame is the HOG stack of the frame being processed: the gray
+	// image, pyramid, feature maps and block grids, built at most once
+	// per frame and read by both the vehicle and the pedestrian scan.
+	// With ScanTemporalCache it persists across frames, and each HOG
+	// detector serves unchanged window rows from its own row cache.
+	frame                      *pipeline.FrameStack
+	dayRows, duskRows, pedRows pipeline.RowCache
 }
 
 // NewSystem boots a per-stream System bound to this engine: it builds
@@ -300,7 +265,7 @@ func (e *Engine) NewSystem(opt Options) (*System, error) {
 		return nil, fmt.Errorf("adaptive: bitstream size must be positive, got %d", opt.BitstreamBytes)
 	}
 	opt.Retry = opt.Retry.withDefaults()
-	dets := e.Dets.withScanOptions(opt)
+	dets := e.Dets
 	s := &System{
 		eng:     e,
 		Z:       soc.NewZynq(),
@@ -310,6 +275,7 @@ func (e *Engine) NewSystem(opt Options) (*System, error) {
 		Opt:     opt,
 		loaded:  configFor(opt.Initial),
 	}
+	s.frame = newFrameStack(dets, opt.ScanTemporalCache)
 	if opt.EnableTracking {
 		s.tracker = track.NewTracker(track.DefaultConfig())
 	}
@@ -346,6 +312,19 @@ func (e *Engine) NewSystem(opt Options) (*System, error) {
 	// against frame 0's real-time budget.
 	s.epoch = s.Z.Sim.Now()
 	return s, nil
+}
+
+// newFrameStack returns the stream's frame stack, keyed to the HOG
+// config and pyramid scale of the vehicle detectors, whose scan runs
+// first and builds the stack, or else of the pedestrian detector. A
+// detector with another config or scale scans on a private stack.
+func newFrameStack(d Detectors, temporal bool) *pipeline.FrameStack {
+	for _, det := range []*pipeline.HOGDetector{d.Day, d.Dusk, d.Pedestrian} {
+		if det != nil {
+			return pipeline.NewFrameStack(det, temporal)
+		}
+	}
+	return pipeline.NewFrameStack(nil, temporal)
 }
 
 // psPerSecond is one second of simulated time.
@@ -425,6 +404,8 @@ func (s *System) ProcessFrameCtx(ctx context.Context, sc *synth.Scene) (FrameRes
 	if err := s.Monitor.Validate(); err != nil {
 		return FrameResult{}, err
 	}
+	s.frame.Begin(sc.Frame)
+	defer s.frame.End()
 	// Borrow this frame's scan lanes from the shared engine pool (a
 	// no-op in timing-only mode). Held across the whole frame so
 	// vehicle and pedestrian scans see one consistent worker count.
@@ -447,7 +428,7 @@ func (s *System) ProcessFrameCtx(ctx context.Context, sc *synth.Scene) (FrameRes
 	}
 	lux := sc.Lux
 	if s.Opt.SenseFromImage {
-		lux = EstimateLux(sc.Frame)
+		lux = luxFromGray(s.frame.Gray())
 	}
 	cond := s.Monitor.Update(lux)
 	if s.metrics != nil {
@@ -579,7 +560,7 @@ func (s *System) ProcessFrameCtx(ctx context.Context, sc *synth.Scene) (FrameRes
 		if s.metrics != nil {
 			scanWall = time.Now() // lint:walltime metrics dual-recording: wall lap rides beside the ps slot clock
 		}
-		peds, err := s.Dets.Pedestrian.DetectCtx(ctx, img.RGBToGray(sc.Frame), s.grant)
+		peds, err := s.Dets.Pedestrian.DetectStackCtx(ctx, s.frame, &s.pedRows, s.grant, nil)
 		if err != nil {
 			return FrameResult{}, fmt.Errorf("adaptive: frame %d: %w", s.frameIdx, err)
 		}
@@ -646,7 +627,6 @@ func (s *System) ProcessFrameCtx(ctx context.Context, sc *synth.Scene) (FrameRes
 // vehicle-scan budget to the block-response engine's sub-stages, and
 // the dark pipeline reports its dark-* stages.
 func (s *System) detectVehicles(ctx context.Context, sc *synth.Scene, cond synth.Condition) ([]pipeline.Detection, error) {
-	gray := func() *img.Gray { return img.RGBToGray(sc.Frame) }
 	var tm *pipeline.ScanTimings
 	var dtm *pipeline.DarkTimings
 	if s.metrics != nil {
@@ -660,11 +640,11 @@ func (s *System) detectVehicles(ctx context.Context, sc *synth.Scene, cond synth
 		switch cond {
 		case synth.Day:
 			if s.Dets.Day != nil {
-				return s.Dets.Day.DetectTimedCtx(ctx, gray(), s.grant, tm)
+				return s.Dets.Day.DetectStackCtx(ctx, s.frame, &s.dayRows, s.grant, tm)
 			}
 		case synth.Dusk:
 			if s.Dets.Dusk != nil {
-				return s.Dets.Dusk.DetectTimedCtx(ctx, gray(), s.grant, tm)
+				return s.Dets.Dusk.DetectStackCtx(ctx, s.frame, &s.duskRows, s.grant, tm)
 			}
 		case synth.Dark:
 			if s.Dets.Dark != nil {

@@ -91,15 +91,31 @@ func YCbCrToRGB(c *YCbCr) *RGB {
 
 // RGBToGray converts to 8-bit luma using the BT.601 weights.
 func RGBToGray(m *RGB) *Gray {
-	out := NewGray(m.W, m.H)
+	return RGBToGrayInto(nil, m)
+}
+
+// RGBToGrayInto is RGBToGray writing into dst, reusing dst's pixel
+// buffer when it has sufficient capacity (dst may be nil). It returns
+// the converted image — dst itself when dst is non-nil — so a
+// per-frame conversion into a kept buffer allocates nothing in steady
+// state.
+func RGBToGrayInto(dst *Gray, m *RGB) *Gray {
+	if dst == nil {
+		dst = &Gray{}
+	}
 	n := m.W * m.H
+	dst.W, dst.H = m.W, m.H
+	if cap(dst.Pix) < n {
+		dst.Pix = make([]uint8, n)
+	}
+	dst.Pix = dst.Pix[:n]
 	for i := 0; i < n; i++ {
 		r := int32(m.Pix[3*i])
 		g := int32(m.Pix[3*i+1])
 		b := int32(m.Pix[3*i+2])
-		out.Pix[i] = clamp8(lumaFix(r, g, b))
+		dst.Pix[i] = clamp8(lumaFix(r, g, b))
 	}
-	return out
+	return dst
 }
 
 // GrayToRGB expands a grayscale image to three identical channels.

@@ -9,7 +9,8 @@ import (
 
 // HotPathAlloc returns the analyzer enforcing the allocation-free
 // steady-state contract of the scan engine: functions reachable on the
-// call graph from `// lint:hotpath` roots (pipeline.HOGDetector.scan, the
+// call graph from `// lint:hotpath` roots (pipeline.HOGDetector.scan
+// and the shared per-frame HOG stack build it calls, the
 // hog.BlockGrid/svm.BlockModel compute paths, the metrics record
 // paths, the dark pipeline's preprocess and scanLights with the
 // img.LightMask/DownsampleBinaryInto/Morph.Close kernels and

@@ -25,7 +25,9 @@
 //     never severs cancellation with context.Background/TODO, and
 //     goroutine fan-out loops check their context,
 //   - hotpathalloc: functions reachable from `// lint:hotpath` roots
-//     stay free of allocating constructs (un-pre-sized appends,
+//     (the HOG scan and its per-frame stack build, the block-response
+//     kernels, the dark pipeline, the metrics record paths) stay free
+//     of allocating constructs (un-pre-sized appends,
 //     map/slice literals, unguarded make inside loops, fmt.*, boxing
 //     into interface{}, closures capturing loop variables),
 //   - goroutinelife: every `go` statement in a library package must be

@@ -58,11 +58,14 @@ type HOGDetector struct {
 	// scores every window through its full descriptor. Benchmarks and
 	// equivalence tests use it; production leaves it false.
 	NoBlockResponse bool
-	// Temporal, when non-nil, reuses the feature/block stack
+	// Temporal, when non-nil, reuses the feature/block stack and the
+	// window rows of standalone scans (DetectCtx, DetectTimedCtx)
 	// across consecutive frames, recomputing only what each frame's
 	// dirty tiles invalidate (see NewTemporalCache). Byte-identical
 	// output; a cache binds this detector to one frame sequence and
 	// must not be shared across detectors or concurrent scans.
+	// DetectStackCtx ignores it: the frame stack and row cache it is
+	// handed play its part.
 	Temporal *TemporalCache
 }
 
@@ -142,7 +145,39 @@ func (d *HOGDetector) DetectCtx(ctx context.Context, g *img.Gray, workers int) (
 // DetectTimedCtx is DetectCtx with per-stage wall-clock attribution;
 // tm may be nil and is written only on success.
 func (d *HOGDetector) DetectTimedCtx(ctx context.Context, g *img.Gray, workers int, tm *ScanTimings) ([]Detection, error) {
-	dets, err := d.scan(ctx, g, workers, tm)
+	if tc := d.Temporal; tc != nil {
+		tc.stack.begin(g, d.HOG, d.Scale)
+		defer tc.stack.end()
+		return d.detect(ctx, tc.stack, &tc.rows, workers, tm)
+	}
+	st := borrowStack()
+	defer releaseStack(st)
+	st.begin(g, d.HOG, d.Scale)
+	return d.detect(ctx, st, nil, workers, tm)
+}
+
+// DetectStackCtx is DetectTimedCtx over the frame fs holds: the scan
+// reads the frame's shared pyramid, feature maps and block grids,
+// building on first use whatever no earlier scan of the frame built,
+// and on a temporal stack serves unchanged window rows from rc (which
+// may be nil). A detector whose HOG config or pyramid scale differs
+// from fs's scans the frame's gray image on a private pooled stack.
+// Output is byte-identical to DetectTimedCtx on the frame's gray image
+// with no temporal cache.
+func (d *HOGDetector) DetectStackCtx(ctx context.Context, fs *FrameStack, rc *RowCache, workers int, tm *ScanTimings) ([]Detection, error) {
+	st := fs.stack()
+	if d.HOG != fs.cfg || d.Scale != fs.scale {
+		own := borrowStack()
+		defer releaseStack(own)
+		own.begin(st.levels[0], d.HOG, d.Scale)
+		st, rc = own, nil
+	}
+	return d.detect(ctx, st, rc, workers, tm)
+}
+
+// detect runs the scan over st and applies NMS.
+func (d *HOGDetector) detect(ctx context.Context, st *hogStack, rc *RowCache, workers int, tm *ScanTimings) ([]Detection, error) {
+	dets, err := d.scan(ctx, st, rc, workers, tm)
 	if err != nil {
 		return nil, fmt.Errorf("pipeline: %v detect: %w", d.Kind, err)
 	}

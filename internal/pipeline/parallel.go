@@ -24,8 +24,11 @@ type rowScratch struct {
 // mirroring the paper's Fig. 2 datapath: pyramid resize, gradient +
 // cell-histogram feature maps, block normalization, lattice setup,
 // and the window scoring sweep.
-// Detectors fill it via DetectTimedCtx so the telemetry layer can
-// attribute the vehicle-scan budget to sub-stages.
+// Detectors fill it via DetectTimedCtx and DetectStackCtx so the
+// telemetry layer can attribute the vehicle-scan budget to sub-stages.
+// The resize, feature, blocks and temporal stages count only the part
+// of the frame's HOG stack the scan built itself: on a shared stack
+// the first scan of the frame carries them.
 type ScanTimings struct {
 	Resize   time.Duration // pyramid level resizing
 	Feature  time.Duration // gradient + cell-histogram feature maps
@@ -34,8 +37,9 @@ type ScanTimings struct {
 	Windows  time.Duration // window scoring + detection assembly
 	Temporal time.Duration // tile fingerprinting + dirty-mask dilation
 	// TileHits/TileMisses/TileRefreshes are the temporal cache's tile
-	// accounting for this scan (all zero without a cache): reused,
-	// content-changed, and no-comparable-fingerprint tiles.
+	// accounting for the levels this scan built (all zero without a
+	// cache): reused, content-changed, and no-comparable-fingerprint
+	// tiles.
 	TileHits      int
 	TileMisses    int
 	TileRefreshes int
@@ -57,103 +61,68 @@ func scanPositions(size, win, stride int) int {
 }
 
 // scan runs the detector's multi-scale HOG+SVM sliding-window scan
-// over every pyramid level of g with the given worker count, returning
+// over the frame st holds, with the given worker count, returning
 // detections in deterministic level-major, raster order, before NMS.
-// tm may be nil; it is written only on success.
+// tm may be nil; it is written only on success. rc may be nil; with a
+// persistent st it serves window rows the frame left unchanged.
 //
-// The pyramid levels are resized concurrently, each level's
-// gradient/cell-histogram stages are computed once into a read-only
-// hog.FeatureMap, and window rows are fanned out across the pool, with
-// every row writing its own output slot so the assembled detection
-// list is identical for every worker count.
+// Stages 1–2 — pyramid levels, feature maps, block grids — are read
+// from st, which builds whatever no earlier scan of the frame built
+// (hogStack.build); their time lands in this scan's timings. Window
+// rows are then fanned out across the pool, with every row writing its
+// own output slot so the assembled detection list is identical for
+// every worker count.
 //
 // When every scan position lies on the cell grid (stride a multiple
 // of the cell size — true for all shipped detectors), the scan takes
-// the block-response fast path: each level's blocks are L2Hys-
-// normalized exactly once into a hog.BlockGrid and windows are scored
-// against the svm.BlockModel — the software rendition of the PL
-// datapath, whose HOG memories are written once per frame and only
-// read by the window evaluators. The fast path scores with early
-// reject: each window's block partials are accumulated in descending
-// weight-mass order and the window is abandoned as soon as the
-// remaining blocks provably cannot lift the margin above the
-// threshold. Surviving windows re-sum their stashed partials in
-// canonical order, so reported margins are bitwise identical to the
-// full svm.BlockModel.WindowMargin evaluation.
+// the block-response fast path: windows are scored against the
+// svm.BlockModel straight from each level's block grid — the software
+// rendition of the PL datapath, whose HOG memories are written once
+// per frame and only read by the window evaluators. The fast path
+// scores with early reject: each window's block partials are
+// accumulated in descending weight-mass order and the window is
+// abandoned as soon as the remaining blocks provably cannot lift the
+// margin above the threshold. Surviving windows re-sum their stashed
+// partials in canonical order, so reported margins are bitwise
+// identical to the full svm.BlockModel.WindowMargin evaluation.
 //
 // Unaligned strides keep the descriptor path with its per-window
 // HOG.Extract crop fallback.
 //
 // lint:hotpath
-func (d *HOGDetector) scan(ctx context.Context, g *img.Gray, workers int, tm *ScanTimings) (dets []Detection, err error) {
+func (d *HOGDetector) scan(ctx context.Context, st *hogStack, rc *RowCache, workers int, tm *ScanTimings) (dets []Detection, err error) {
 	workers = par.Workers(workers)
 	sc := borrowScanScratch()
 	defer releaseScanScratch(sc)
-	tc := d.Temporal
-	if tc != nil {
-		// An abandoned scan (cancellation, validation failure) leaves
-		// cached grids out of step with the already-updated tile
-		// fingerprints; the next frame must scan cold rather than trust
-		// them.
-		defer func() {
-			if err != nil {
-				tc.Invalidate()
-			}
-		}()
-	}
+	// An abandoned scan (cancellation, validation failure) may leave a
+	// persistent stack's maps and grids out of step with its already
+	// updated tile fingerprints; the next frame must build cold rather
+	// than trust them.
+	defer func() {
+		if err != nil {
+			st.invalidate()
+		}
+	}()
 
 	var t ScanTimings
-	timed := tm != nil
-	var last time.Time
-	if timed {
-		last = time.Now()
+	sw := stopwatch{on: tm != nil}
+	if sw.on {
+		sw.last = time.Now()
 	}
-	lap := func(stage *time.Duration) {
-		if !timed {
-			return
-		}
-		now := time.Now()
-		*stage += now.Sub(last)
-		last = now
+	tc := st.tc
+	// This scan's share of the frame's tile accounting: the tiles of
+	// the levels it builds.
+	var tiles0 TemporalStats
+	if tc != nil && st.open {
+		tiles0 = tc.frame
 	}
-
-	// Stage 1: pyramid levels, resized concurrently (each level reads
-	// only the source frame) into buffers reused across frames. Level 0
-	// is always the source size, so it aliases the frame itself instead
-	// of copying it — the scan only reads levels, and the alias is
-	// swapped back out before the scratch returns to the pool.
-	sizes := img.PyramidSizes(g.W, g.H, d.Scale, d.WinW, d.WinH)
-	nl := len(sizes)
+	g := st.levels[0]
+	nl := st.levelsFor(d.WinW, d.WinH)
 	sc.setLevels(nl)
-	// The per-level stack lives in the pooled scratch — or, with a
-	// temporal cache, in the cache's own arenas, so that no later
-	// scratch borrow can overwrite state that must survive the frame
-	// boundary. These views are what both stages read and write.
-	maps, grids := sc.maps, sc.grids
-	if tc != nil {
-		tc.begin(temporalSig{
-			model: d.Model, cfg: d.HOG,
-			winW: d.WinW, winH: d.WinH, stride: d.Stride,
-			scale: d.Scale, thresh: d.DetectThresh,
-			kind: d.Kind, noBlock: d.NoBlockResponse,
-			w: g.W, h: g.H,
-		}, nl)
-		maps, grids = tc.maps, tc.grids
-	}
-	first := 0
-	if nl > 0 && sizes[0][0] == g.W && sizes[0][1] == g.H {
-		sc.level0 = sc.levels[0]
-		sc.level0Aliased = true
-		sc.levels[0] = g
-		first = 1
-	}
-	if err := par.ForEach(ctx, workers, nl-first, func(i int) {
-		i += first
-		sc.levels[i] = img.ResizeGrayInto(sc.levels[i], g, sizes[i][0], sizes[i][1])
-	}); err != nil {
-		return nil, err
-	}
-	lap(&t.Resize)
+	// A level that skips the fast path below must never be read
+	// through a previous scan's lattice.
+	clear(sc.lats[:nl])
+	clear(sc.nax[:nl])
 
 	// The fast path applies when every scan position is cell-aligned,
 	// so each window's blocks exist in the level block grid.
@@ -166,81 +135,31 @@ func (d *HOGDetector) scan(ctx context.Context, g *img.Gray, workers int, tm *Sc
 	// to the descriptor path, where Model.Margin reports the wiring
 	// bug exactly as it always has.
 
-	// Stage 2: per level, one shared feature cache (row-parallel); on
-	// the fast path also the normalized block grid, computed once per
-	// frame instead of once per window, and its anchor lattice.
-	for i := 0; i < nl; i++ {
-		level := sc.levels[i]
-		fm := maps[i]
-		// Temporal refresh mode: fingerprint the level's tiles and
-		// decide whether its cached stack can be reused wholesale
-		// (clean), refreshed cell-by-cell (partial), or must be
-		// recomputed (full — also the only mode without a cache).
-		mode := tcFull
-		if tc != nil {
-			mode = tc.observe(i, level, d.HOG)
-			lap(&t.Temporal)
-		}
-		switch mode {
-		case tcClean:
-			// Every tile fingerprint matched: the cached feature map is
-			// bitwise what ComputeCtx would produce.
-		case tcPartial:
-			if err := fm.ComputeDirtyCtx(ctx, d.HOG, level, workers, tc.cellMask); err != nil {
-				return nil, err
-			}
-		default:
-			if err := fm.ComputeCtx(ctx, d.HOG, level, workers, &sc.hs); err != nil {
-				return nil, err
-			}
-		}
-		lap(&t.Feature)
-		// Reset the level's lattice first: a level that skips the fast
-		// path below must never be read through a previous frame's
-		// lattice.
-		sc.lats[i] = svm.Lattice{}
-		sc.nax[i] = 0
-		if !useBlocks {
-			continue
-		}
-		nax := scanPositions(level.W, d.WinW, d.Stride)
-		nay := scanPositions(level.H, d.WinH, d.Stride)
-		if nax == 0 || nay == 0 {
-			continue
-		}
-		bg := grids[i]
-		switch mode {
-		case tcClean:
-			// Cached grid current; nothing to normalize.
-		case tcPartial:
-			cw, ch := d.HOG.CellsFor(level.W, level.H)
-			pnbx, pnby := bg.Dims()
-			tc.dirtyBlocks(d.HOG, cw, ch, pnbx, pnby)
-			if err := bg.ComputeDirtyCtx(ctx, fm, workers, tc.blockMask[:pnbx*pnby]); err != nil {
-				return nil, err
-			}
-		default:
-			if err := bg.ComputeCtx(ctx, fm, workers); err != nil {
-				return nil, err
-			}
-		}
-		lap(&t.Blocks)
-		nbx, nby := bg.Dims()
+	if err := st.build(ctx, nl, useBlocks, workers, &t, &sw); err != nil {
+		return nil, err
+	}
+	levels, maps, grids := st.levels, st.maps, st.grids
+
+	// Per level on the fast path, the anchor lattice over the block
+	// grid. Margins are computed on demand in stage 3 straight from
+	// the grid: precomputing every anchor's partials would spend the
+	// work the early exit exists to skip.
+	for i := 0; useBlocks && i < nl; i++ {
+		nbx, nby := grids[i].Dims()
+		nax := scanPositions(levels[i].W, d.WinW, d.Stride)
+		nay := scanPositions(levels[i].H, d.WinH, d.Stride)
 		lat := svm.Lattice{
 			NBX: nbx, NBY: nby,
 			StepX: d.Stride / cell, StepY: d.Stride / cell,
 			NAX: nax, NAY: nay,
 			BlockStride: d.HOG.BlockStride,
 		}
-		if err := sc.bm.CheckLattice(lat, len(bg.Data())); err != nil {
+		if err := sc.bm.CheckLattice(lat, len(grids[i].Data())); err != nil {
 			return nil, err
 		}
-		// Margins are computed on demand in stage 3 straight from the
-		// block grid: precomputing every anchor's partials would spend
-		// the work the early exit exists to skip.
 		sc.lats[i] = lat
 		sc.nax[i] = nax
-		lap(&t.Response)
+		sw.lap(&t.Response)
 	}
 
 	// Stage 3: one task per window row across all levels, pre-sized
@@ -248,40 +167,41 @@ func (d *HOGDetector) scan(ctx context.Context, g *img.Gray, workers int, tm *Sc
 	// assembly order is independent of worker scheduling.
 	nt := 0
 	for i := 0; i < nl; i++ {
-		if sc.levels[i].W < d.WinW {
-			continue
-		}
-		nt += scanPositions(sc.levels[i].H, d.WinH, d.Stride)
+		nt += scanPositions(levels[i].H, d.WinH, d.Stride)
 	}
 	tasks, results := sc.setTasks(nt)
 	k := 0
 	for i := 0; i < nl; i++ {
-		level := sc.levels[i]
-		if level.W < d.WinW {
-			continue
-		}
+		level := levels[i]
 		for y := 0; y+d.WinH <= level.H; y += d.Stride {
 			tasks[k] = rowTask{i, y}
 			k++
 		}
 	}
 	descLen := d.HOG.DescriptorLen(d.WinW, d.WinH)
-	// Window-row reuse: with a cache holding the previous scan's rows
-	// (same signature, so the task list is identical), any row whose
-	// inputs are untouched this frame produces byte-identical
-	// detections — its scores are pure functions of blocks and pixels
-	// the dirty masks prove unchanged — so stage 3 serves the cached
-	// slice instead of rescoring the row.
-	serveRows := tc != nil && tc.rowsValid && len(tc.rowDets) == nt
+	// Window-row reuse: with a row cache holding this detector's rows
+	// of the stack's previous frame (same signature, so the task list
+	// is identical), any row whose inputs are untouched this frame
+	// produces byte-identical detections — its scores are pure
+	// functions of blocks and pixels the dirty masks prove unchanged —
+	// so stage 3 serves the cached slice instead of rescoring the row.
+	sig := temporalSig{
+		model: d.Model, cfg: d.HOG,
+		winW: d.WinW, winH: d.WinH, stride: d.Stride,
+		scale: d.Scale, thresh: d.DetectThresh,
+		kind: d.Kind, noBlock: d.NoBlockResponse,
+		w: g.W, h: g.H,
+	}
+	serveRows := rc.servable(sig, st, nt)
 	err = par.ForEachLocal(ctx, workers, nt,
 		func() *rowScratch { return new(rowScratch) },
 		func(ti int, rs *rowScratch) {
 			rt := tasks[ti]
 			if serveRows && tc.rowServable(d.HOG, rt.level, rt.y, d.WinH, sc.nax[rt.level] > 0, bh) {
-				results[ti] = tc.rowDets[ti]
+				results[ti] = rc.rows[ti]
 				return
 			}
-			level, fm := sc.levels[rt.level], maps[rt.level]
+			level, fm := levels[rt.level], maps[rt.level]
 			fx := float64(g.W) / float64(level.W)
 			fy := float64(g.H) / float64(level.H)
 			var dets []Detection
@@ -310,7 +230,7 @@ func (d *HOGDetector) scan(ctx context.Context, g *img.Gray, workers int, tm *Sc
 				var cached []Detection
 				cj := 0
 				if rowPartial {
-					cached = tc.rowDets[ti]
+					cached = rc.rows[ti]
 				}
 				spanCX := (bw-1)*d.HOG.BlockStride + d.HOG.BlockCells
 				if p := (d.WinW + cell - 1) / cell; p > spanCX {
@@ -386,16 +306,17 @@ func (d *HOGDetector) scan(ctx context.Context, g *img.Gray, workers int, tm *Sc
 	for _, r := range results {
 		all = append(all, r...)
 	}
-	if tc != nil {
-		tc.storeRows(results)
+	if rc != nil && tc != nil {
+		rc.store(sig, st, results)
 	}
-	lap(&t.Windows)
-	if timed {
+	sw.lap(&t.Windows)
+	if tm != nil {
 		t.BlockPath = useBlocks
 		if tc != nil {
 			t.TemporalPath = true
-			fs := tc.FrameStats()
-			t.TileHits, t.TileMisses, t.TileRefreshes = fs.Hits, fs.Misses, fs.Refreshes
+			t.TileHits = tc.frame.Hits - tiles0.Hits
+			t.TileMisses = tc.frame.Misses - tiles0.Misses
+			t.TileRefreshes = tc.frame.Refreshes - tiles0.Refreshes
 		}
 		*tm = t
 	}

@@ -130,26 +130,34 @@ func TestDetectionsByteIdenticalWithLedger(t *testing.T) {
 
 // TestProcessFrameAllocsWithLedger is the hot-path alloc gate with the
 // ledger enabled: a steady-state frame — vehicle scan included, on the
-// HOG path by day and the dark pipeline at night — must stay within
-// the scan path's 40-object budget; the ledger feed (reused encode
-// buffer, arena-backed chain) must not add per-frame allocations on
-// top.
+// HOG path by day, with the temporal cache, and the dark pipeline at
+// night — must stay within the scan path's 40-object budget; the
+// ledger feed (reused encode buffer, arena-backed chain) must not add
+// per-frame allocations on top. On the HOG rows the frame's gray image
+// lives in the frame's pooled or kept HOG stack, so a steady-state
+// frame also allocates fewer bytes than one gray image of the frame.
 func TestProcessFrameAllocsWithLedger(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race-detector instrumentation allocates")
 	}
 	d := getDets(t)
+	const w, h = 160, 90
 	for _, tc := range []struct {
-		name string
-		cond Condition
-	}{{"day", Day}, {"dark", Dark}} {
+		name     string
+		cond     Condition
+		temporal bool
+	}{{"day", Day, false}, {"temporal", Day, true}, {"dark", Dark, false}} {
 		t.Run(tc.name, func(t *testing.T) {
 			led := NewLedger(LedgerConfig{})
-			sys, err := NewSystem(d, WithLedger(led), WithInitial(tc.cond))
+			opts := []Option{WithLedger(led), WithInitial(tc.cond), WithParallelism(1)}
+			if tc.temporal {
+				opts = append(opts, WithTemporalCache())
+			}
+			sys, err := NewSystem(d, opts...)
 			if err != nil {
 				t.Fatal(err)
 			}
-			sc := RenderScene(500, 160, 90, tc.cond)
+			sc := RenderScene(500, w, h, tc.cond)
 			// Warm the pools: first frames grow every buffer to steady
 			// state.
 			for i := 0; i < 8; i++ {
@@ -167,6 +175,23 @@ func TestProcessFrameAllocsWithLedger(t *testing.T) {
 				t.Fatalf("steady-state %s frame with ledger allocates %.0f objects, want <= %d", tc.name, allocs, maxAllocs)
 			}
 			t.Logf("%.0f allocations per frame", allocs)
+			if tc.cond == Dark {
+				return
+			}
+			const frames = 20
+			var m0, m1 runtime.MemStats
+			runtime.ReadMemStats(&m0)
+			for i := 0; i < frames; i++ {
+				if _, err := sys.ProcessFrame(sc); err != nil {
+					t.Fatal(err)
+				}
+			}
+			runtime.ReadMemStats(&m1)
+			perFrame := (m1.TotalAlloc - m0.TotalAlloc) / frames
+			if perFrame >= w*h {
+				t.Fatalf("steady-state %s frame allocates %d bytes, want < %d (one %dx%d gray image)", tc.name, perFrame, w*h, w, h)
+			}
+			t.Logf("%d bytes per frame", perFrame)
 		})
 	}
 }

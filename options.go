@@ -148,17 +148,19 @@ func WithRetryPolicy(rp RetryPolicy) Option {
 	return func(c *config) { c.opt.Retry = rp }
 }
 
-// WithTemporalCache reuses each HOG detector's feature and block
-// buffers across consecutive frames, fingerprinting the frame
-// in 64x64 tiles and recomputing only what each frame's changed tiles
-// invalidate — the software rendition of persistent BRAM line buffers
-// surviving between frames in the PL. Detection output is
+// WithTemporalCache keeps the stream's HOG stack — the pyramid,
+// feature maps and block grids the vehicle and pedestrian scans share
+// — across consecutive frames, fingerprinting the frame in 64x64 tiles
+// and recomputing only what each frame's changed tiles invalidate, and
+// lets each HOG detector serve its unchanged window rows from the
+// previous frame — the software rendition of persistent BRAM line
+// buffers surviving between frames in the PL. Detection output is
 // byte-identical to a cold scan of every frame; on static-camera
 // footage the warm-frame scan cost drops by the fraction of tiles
-// unchanged. Caches are per-stream, even when NewEngine makes the
-// cache every stream's default, so streams never alias each other's
-// frame history; they are invalidated automatically whenever a
-// partial reconfiguration is requested.
+// unchanged. The stack and row caches are per-stream, even when
+// NewEngine makes the cache every stream's default, so streams never
+// alias each other's frame history; the stack is invalidated
+// automatically whenever a partial reconfiguration is requested.
 func WithTemporalCache() Option {
 	return func(c *config) { c.opt.ScanTemporalCache = true }
 }
